@@ -107,6 +107,8 @@ def _as_float(key, v, positive=False):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(key, f"{key} must be a number, got {v!r}")
     v = float(v)
+    if not math.isfinite(v):
+        raise ConfigError(key, f"{key} must be finite, got {v}")
     if positive and not v > 0:
         raise ConfigError(key, f"{key} must be > 0, got {v}")
     return v

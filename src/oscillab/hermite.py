@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dsterf
 
 __all__ = [
     "MultiIndex",
@@ -74,32 +75,30 @@ def eigenvalue(m, d: int) -> int:
     return 2 * m.degree + d
 
 
-def hermite_values_1d(K_eval: int, nodes) -> np.ndarray:
-    """Table of orthonormal Hermite function values, rows k = 0..K_eval.
+def _hermite_rows(K_eval: int, x: np.ndarray):
+    """Yield the rows h_0(x), ..., h_{K_eval}(x) of the renormalized recurrence.
 
     Runs the three-term recurrence on the envelope-free polynomials with a per-node
     power-of-two counter and rebuilds each row with ldexp.  Plain evaluation dies for
     large rules: e^{-x^2/2} underflows in the classically forbidden region and the
     recurrence can then never climb back to the O(1) oscillatory values.  The counter
     scheme is exact (power-of-two scaling only) and keeps every representable value.
+    Every operation is odd or even in x, so mirrored nodes give rows that are exactly
+    (-1)^k times each other.
     """
-    if K_eval < 0:
-        raise ValueError("K_eval must be >= 0")
-    x = np.asarray(nodes, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("nodes must be a 1-D array")
-    out = np.empty((K_eval + 1, x.size))
     # envelope e^{-x^2/2} pi^{-1/4} = 2^kappa * ebar with ebar in [1, 2)
     a = (-0.5 * x * x - 0.25 * math.log(math.pi)) * _LOG2E
     kappa = np.floor(a)
     ebar = np.exp2(a - kappa)
-    kap_i = kappa.astype(np.int64)
-    cnt = np.zeros(x.size, dtype=np.int64)
+    # int32 exponents put ldexp on its fast loop; the clip only touches |x| > 3e4,
+    # where every h_k underflows to 0.0 either way
+    kap_i = np.maximum(kappa, -2.0 ** 30).astype(np.int32)
+    cnt = np.zeros(x.size, dtype=np.int32)
     p_prev = np.ones_like(x)
     p_cur = math.sqrt(2.0) * x
-    out[0] = np.ldexp(ebar, kap_i)
+    yield np.ldexp(ebar, kap_i)
     if K_eval >= 1:
-        out[1] = np.ldexp(p_cur * ebar, kap_i)
+        yield np.ldexp(p_cur * ebar, kap_i)
     for k in range(1, K_eval):
         p_prev, p_cur = p_cur, x * math.sqrt(2.0 / (k + 1)) * p_cur \
             - math.sqrt(k / (k + 1.0)) * p_prev
@@ -110,42 +109,47 @@ def hermite_values_1d(K_eval: int, nodes) -> np.ndarray:
                 p_prev = p_prev * scale
                 p_cur = p_cur * scale
                 cnt += np.where(big, _RENORM_SHIFT, 0)
-        out[k + 1] = np.ldexp(p_cur * ebar, kap_i + cnt)
+        yield np.ldexp(p_cur * ebar, kap_i + cnt)
+
+
+def hermite_values_1d(K_eval: int, nodes) -> np.ndarray:
+    """Table of orthonormal Hermite function values, rows k = 0..K_eval, evaluated
+    at exactly the given nodes (see _hermite_rows for the scheme)."""
+    if K_eval < 0:
+        raise ValueError("K_eval must be >= 0")
+    x = np.asarray(nodes, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("nodes must be a 1-D array")
+    out = np.empty((K_eval + 1, x.size))
+    for k, row in enumerate(_hermite_rows(K_eval, x)):
+        out[k] = row
     return out
 
 
-def _edge_values(Q: int, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h_{Q-1}, h_Q, sum_{k<Q} h_k^2) at `nodes`, streaming (O(Q) memory)."""
-    x = np.asarray(nodes, dtype=float)
-    a = (-0.5 * x * x - 0.25 * math.log(math.pi)) * _LOG2E
-    kappa = np.floor(a)
-    ebar = np.exp2(a - kappa)
-    kap_i = kappa.astype(np.int64)
-    cnt = np.zeros(x.size, dtype=np.int64)
-    p_prev = np.ones_like(x)
-    p_cur = math.sqrt(2.0) * x
-    sumsq = np.ldexp(ebar, kap_i) ** 2
-    if Q == 1:
-        return np.ldexp(ebar, kap_i), np.ldexp(p_cur * ebar, kap_i), sumsq
-    sumsq += np.ldexp(p_cur * ebar, kap_i) ** 2
-    for k in range(1, Q):
-        p_prev, p_cur = p_cur, x * math.sqrt(2.0 / (k + 1)) * p_cur \
-            - math.sqrt(k / (k + 1.0)) * p_prev
-        if k % _RENORM_EVERY == 0:
-            big = np.abs(p_cur) > _RENORM_THRESHOLD
-            if big.any():
-                scale = np.where(big, 2.0 ** -_RENORM_SHIFT, 1.0)
-                p_prev = p_prev * scale
-                p_cur = p_cur * scale
-                cnt += np.where(big, _RENORM_SHIFT, 0)
-        row = np.ldexp(p_cur * ebar, kap_i + cnt)
-        if k < Q - 1:
-            sumsq += row * row
-        elif k == Q - 1:
-            # row is h_Q; the previous one is h_{Q-1}
-            prev_row = np.ldexp(p_prev * ebar, kap_i + cnt)
-            return prev_row, row, sumsq
-    raise AssertionError("unreachable")
+def _mirrored_values(K_eval: int, rule: "QuadratureRule") -> np.ndarray:
+    """hermite_values_1d on the rule's nodes, evaluated on the nonnegative half only.
+
+    The rule's nodes mirror exactly and h_k(-x) = (-1)^k h_k(x) holds bitwise for
+    the recurrence, so the mirrored half equals full evaluation bit for bit.
+    """
+    Q = rule.size
+    lo = Q // 2  # index of the first nonnegative node
+    half = hermite_values_1d(K_eval, rule.nodes[lo:])
+    out = np.empty((K_eval + 1, Q))
+    out[:, lo:] = half
+    sign = (-1.0) ** np.arange(K_eval + 1)
+    np.multiply(half[:, Q % 2:][:, ::-1], sign[:, None], out=out[:, :lo])
+    return out
+
+
+def _edge_values(Q: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h_{Q-1}, h_Q, sum_{k<Q} h_k^2) at x, streaming (O(Q) memory)."""
+    sumsq = np.zeros_like(x)
+    rows = _hermite_rows(Q, x)
+    for _ in range(Q):
+        row = next(rows)
+        sumsq += row * row
+    return row, next(rows), sumsq
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,28 +185,40 @@ class QuadratureRule:
 def gauss_hermite_rule(Q: int, w: int = 2) -> QuadratureRule:
     """Q-node Gauss rule for integrands polynomial * e^{-w y^2}, w in {1, 2}.
 
-    Nodes: Golub-Welsch eigenvalues of the Jacobi matrix (off-diagonal sqrt(k/2)),
-    polished with three Newton steps on h_Q using h_Q' = sqrt(2Q) h_{Q-1} - x h_Q,
-    then symmetrized exactly.  Weights are compensated (see QuadratureRule).
-    The w = 2 rule is the substitution y -> y / sqrt(2) of the w = 1 rule.
+    The w = 1 nodes are the roots of h_Q, i.e. the eigenvalues of the Jacobi matrix
+    T (zero diagonal, off-diagonal sqrt(k/2)).  T^2 couples only indices of equal
+    parity, and its even-index block, a ceil(Q/2)-size tridiagonal matrix, has the
+    squares of the nonnegative roots as eigenvalues (Golub & Welsch, Math. Comp. 23,
+    1969).  Those nodes get one Newton step on h_Q, using h_Q' = sqrt(2Q) h_{Q-1} -
+    x h_Q, and compensated weights 1 / sum_{k<Q} h_k^2 (see QuadratureRule), both on
+    the nonnegative half only.  Odd Q keeps an exact 0.0 node.  The negative half is
+    the mirror image, so nodes are exactly antisymmetric and weights exactly
+    symmetric.  The w = 2 rule is the substitution y -> y / sqrt(2) of the w = 1 rule.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
     if w not in (1, 2):
         raise ValueError("w must be 1 or 2")
-    if Q == 1:
-        nodes = np.zeros(1)
-    else:
-        k = np.arange(1, Q)
-        nodes = eigh_tridiagonal(np.zeros(Q), np.sqrt(k / 2.0), eigvals_only=True)
-        for _ in range(3):
-            h_prev, h_top, _ = _edge_values(Q, nodes)
-            deriv = math.sqrt(2.0 * Q) * h_prev - nodes * h_top
-            nodes = nodes - h_top / deriv
-        nodes = 0.5 * (nodes - nodes[::-1])
-    _, _, sumsq = _edge_values(Q, nodes)
-    weights = 1.0 / sumsq
-    weights = 0.5 * (weights + weights[::-1])  # exact symmetry
+    odd = Q % 2
+    # T^2 at even indices i: diagonal b_i^2 + b_{i+1}^2, off-diagonal b_{i+1} b_{i+2},
+    # with b_k^2 = k/2 for 0 < k < Q and b_0 = b_Q = 0
+    b_sq = np.arange(Q + 1) / 2.0
+    b_sq[Q] = 0.0
+    i = np.arange(0, Q, 2)
+    diag = b_sq[i] + b_sq[i + 1]
+    off = np.sqrt(b_sq[i[:-1] + 1] * b_sq[i[:-1] + 2])
+    # the dsterf wrapper wants a nonempty off-diagonal; a 1 x 1 block is its eigenvalue
+    lam, info = dsterf(diag, off) if off.size else (diag, 0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsterf failed for Q = {Q} (info = {info})")
+    pos = np.sqrt(lam[odd:])  # ascending; odd Q drops the root 0
+    h_prev, h_top, _ = _edge_values(Q, pos)
+    pos = pos - h_top / (math.sqrt(2.0 * Q) * h_prev - pos * h_top)
+    half = np.concatenate([np.zeros(odd), pos])
+    _, _, sumsq = _edge_values(Q, half)
+    w_half = 1.0 / sumsq
+    nodes = np.concatenate([-pos[::-1], half])
+    weights = np.concatenate([w_half[odd:][::-1], w_half])
     if w == 2:
         return QuadratureRule(nodes / math.sqrt(2.0), weights / math.sqrt(2.0), 2)
     return QuadratureRule(nodes, weights, 1)
@@ -248,7 +264,7 @@ class HermiteBasis:
     @cached_property
     def values(self) -> np.ndarray:
         """(K_eval+1, Q) table of 1-D Hermite function values on the rule nodes."""
-        return hermite_values_1d(self.K_eval, self.rule.nodes)
+        return _mirrored_values(self.K_eval, self.rule)
 
     @cached_property
     def companion_rule(self) -> QuadratureRule:
@@ -257,7 +273,7 @@ class HermiteBasis:
 
     @cached_property
     def companion_values(self) -> np.ndarray:
-        return hermite_values_1d(self.K_eval, self.companion_rule.nodes)
+        return _mirrored_values(self.K_eval, self.companion_rule)
 
     @cached_property
     def lambda_sq(self) -> np.ndarray:

@@ -97,6 +97,29 @@ def test_range_and_type_validation(line, key):
     assert err.value.key.startswith(key)
 
 
+@pytest.mark.parametrize("key", ["dt", "T", "s"])
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity"])
+@pytest.mark.parametrize("form", ["key_value", "json"])
+def test_non_finite_numbers_rejected(key, value, form):
+    # json.loads accepts Infinity; an infinite dt once ran to a single t = 0 row
+    # with exit code 0, and an infinite T died in an OverflowError
+    if form == "json":
+        text = f'{{"experiment": "norm_growth", "seed": 1, "{key}": {value}}}'
+    else:
+        text = f"experiment = norm_growth\nseed = 1\n{key} = {value}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key == key
+    assert "finite" in str(err.value)
+
+
+def test_infinite_dt_run_fails_naming_key(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "experiment = conservation\nseed = 1\ndt = Infinity\n")
+    assert main(["run", cfg_path, "--output-dir", str(tmp_path / "out")]) == 1
+    assert "config error [dt]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
 def test_config_is_frozen():
     cfg = parse_config(FAST_IDENTITY)
     with pytest.raises(Exception):

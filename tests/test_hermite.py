@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_hermite, gammaln
 
 from oscillab import (
@@ -23,6 +24,7 @@ from oscillab import (
     hermite_values_1d,
     synthesize,
 )
+from oscillab.hermite import _mirrored_values
 
 
 def test_ground_state_value_at_origin():
@@ -56,6 +58,96 @@ def test_rule_nodes_symmetric_bitwise():
     assert np.all(rule.nodes == -rule.nodes[::-1])
     assert np.all(rule.weights == rule.weights[::-1])
     assert np.all(rule.weights > 0)
+
+
+def _reference_edge_values(Q, x):
+    """(h_{Q-1}, h_Q, sum_{k<Q} h_k^2) at x by the plain streamed recurrence,
+    with the same power-of-two renormalization as the package."""
+    a = (-0.5 * x * x - 0.25 * math.log(math.pi)) / math.log(2.0)
+    kappa = np.floor(a)
+    ebar, kap_i = np.exp2(a - kappa), kappa.astype(np.int64)
+    cnt = np.zeros(x.size, dtype=np.int64)
+    p_prev, p_cur = np.zeros_like(x), np.ones_like(x)
+    sumsq = np.zeros_like(x)
+    for k in range(Q):
+        row = np.ldexp(p_cur * ebar, kap_i + cnt)
+        sumsq += row * row
+        p_prev, p_cur = p_cur, x * math.sqrt(2.0 / (k + 1)) * p_cur \
+            - math.sqrt(k / (k + 1.0)) * p_prev
+        big = np.abs(p_cur) > 2.0 ** 500
+        p_prev, p_cur = np.where(big, p_prev * 2.0 ** -512, p_prev), np.where(
+            big, p_cur * 2.0 ** -512, p_cur)
+        cnt += np.where(big, 512, 0)
+    return row, np.ldexp(p_cur * ebar, kap_i + cnt), sumsq
+
+
+def _reference_rule(Q):
+    """w = 1 rule by the full-size Golub-Welsch eigenproblem, three Newton passes on
+    every node, then averaging of the mirror images."""
+    nodes = np.zeros(1)
+    if Q > 1:
+        k = np.arange(1, Q)
+        nodes = eigh_tridiagonal(np.zeros(Q), np.sqrt(k / 2.0), eigvals_only=True)
+        for _ in range(3):
+            h_prev, h_top, _ = _reference_edge_values(Q, nodes)
+            nodes = nodes - h_top / (math.sqrt(2.0 * Q) * h_prev - nodes * h_top)
+        nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 1.0 / _reference_edge_values(Q, nodes)[2]
+    return nodes, 0.5 * (weights + weights[::-1])
+
+
+@pytest.mark.parametrize("Q", [1, 2, 3, 34, 66, 130, 131, 514, 3910])
+def test_rule_matches_full_eigenproblem_reference(Q):
+    ref_nodes, ref_weights = _reference_rule(Q)
+    rule = gauss_hermite_rule(Q, w=1)
+    ulp = np.spacing(np.abs(ref_nodes))
+    assert np.all(np.abs(rule.nodes - ref_nodes) <= 8 * ulp)
+    assert_allclose(rule.weights, ref_weights, rtol=1e-11)
+    for w in (1, 2):
+        rule = gauss_hermite_rule(Q, w=w)
+        assert np.all(rule.nodes == -rule.nodes[::-1])
+        assert np.all(rule.weights == rule.weights[::-1])
+    if Q % 2:
+        assert rule.nodes[Q // 2] == 0.0
+
+
+@pytest.mark.parametrize("Q", [34, 131, 3910])
+@pytest.mark.parametrize("w", [1, 2])
+def test_folded_value_table_bitwise_equal_full_evaluation(Q, w):
+    rule = gauss_hermite_rule(Q, w=w)
+    K_eval = Q // 2 + 8
+    folded = _mirrored_values(K_eval, rule)
+    full = hermite_values_1d(K_eval, rule.nodes)
+    assert np.array_equal(folded, full)
+    assert np.array_equal(np.signbit(folded), np.signbit(full))
+
+
+def test_basis_tables_are_full_evaluations():
+    basis = HermiteBasis(1, 40)
+    assert np.array_equal(basis.values, hermite_values_1d(basis.K_eval, basis.rule.nodes))
+    assert np.array_equal(
+        basis.companion_values,
+        hermite_values_1d(basis.K_eval, basis.companion_rule.nodes),
+    )
+
+
+def test_large_rule_integrates_ground_state_quartic():
+    # int h_0^4 = (2 pi)^{-1/2}, on the Q = 3910 rule of the bilinear presets
+    rule = gauss_hermite_rule(3910, w=2)
+    h0 = hermite_values_1d(0, rule.nodes)[0]
+    assert abs(float(np.dot(rule.weights, h0 ** 4)) - (2.0 * math.pi) ** -0.5) < 1e-13
+
+
+def test_values_keep_exact_bits_on_given_nodes():
+    # a table built from given (not mirrored) nodes is evaluated at exactly those
+    # nodes: the same node gives the same bits wherever it sits in the array
+    x = np.array([0.3, -1.7, 2.5, 0.3, 11.0])
+    vals = hermite_values_1d(40, x)
+    assert np.array_equal(vals[:, 0], vals[:, 3])
+    for i, xi in enumerate(x):
+        assert np.array_equal(vals[:, i], hermite_values_1d(40, np.array([xi]))[:, 0])
+    # far outside the oscillatory region every value underflows to zero
+    assert np.all(hermite_values_1d(40, np.array([1e6, -3e5, 5e4])) == 0.0)
 
 
 def test_rule_rejects_bad_arguments():

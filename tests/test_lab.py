@@ -10,6 +10,7 @@ L0 = -2 (L1 + Lx) / (-2) = L1 + Lx.  The bilinear ground-pair norm over
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from oscillab import (
     random_shell_field,
     verify_identity_k1,
 )
+from oscillab import lab
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -69,6 +71,16 @@ def test_odd_parity_integral_is_exact_zero():
     # degrees (3,0,0,0): odd total parity, nonresonant (7 - 3 = 4)
     basis = HermiteBasis(1, 8)
     qt = QuadTuple.from_modes(basis, (3,), (0,), (0,), (0,))
+    assert quad_L0(qt) == 0.0
+    L1, Lx = quad_L1_plus_weight(qt)
+    assert L1 == 0.0 and Lx == 0.0
+
+
+def test_single_axis_odd_tuple_is_exact_zero_in_2d():
+    # degree sums 7 and 5 per axis: even in total, so only the mirror of each
+    # single axis makes the integrals vanish; the full mirror x -> -x does not
+    basis = HermiteBasis(2, 32)
+    qt = QuadTuple.from_modes(basis, (5, 0), (0, 3), (2, 2), (0, 0))
     assert quad_L0(qt) == 0.0
     L1, Lx = quad_L1_plus_weight(qt)
     assert L1 == 0.0 and Lx == 0.0
@@ -190,6 +202,71 @@ def test_empty_word_reduction_bit_identical():
     assert np.array_equal(a["raws"], b["raws"])
     assert np.array_equal(a["ratios"], b["ratios"])
     assert a["normalization"] == b["normalization"]
+
+
+def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed):
+    """The dense trial loop: both factors on every node, complex products."""
+    V = basis.values[: basis.K + 1]
+    W = basis.rule.weights
+    tg, tw = lab._time_rule(T, N)
+    K_draw = basis.K - max(word_a.order, word_b.order)
+    raws = []
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, N, M, trial)))
+        u_axes, v_axes = lab._draw_packet_pair(rng, d, N, M, T, K_draw)
+        for axis in range(d):
+            for letter in lab._axis_word_letters(word_a, axis):
+                u_axes[axis] = lab._ladder_window(*u_axes[axis], letter)
+            for letter in lab._axis_word_letters(word_b, axis):
+                v_axes[axis] = lab._ladder_window(*v_axes[axis], letter)
+        prof = np.ones_like(tg)
+        for (m0u, cu), (m0v, cv) in zip(u_axes, v_axes):
+            mv = np.arange(m0v, m0v + cv.size)
+            gv = V[m0v:m0v + cv.size].T @ (cv[:, None] * np.exp(-1j * np.outer(2 * mv + 1, tg)))
+            sup = np.abs(gv).max(axis=1) > 1e-11 * np.abs(gv).max()
+            mu = np.arange(m0u, m0u + cu.size)
+            gu = V[np.ix_(mu, np.flatnonzero(sup))].T @ (
+                cu[:, None] * np.exp(-1j * np.outer(2 * mu + 1, tg))
+            )
+            prof = prof * (W[sup] @ (np.abs(gu * gv[sup]) ** 2))
+        raws.append(math.sqrt(float(np.sum(tw * prof))))
+    return np.array(raws)
+
+
+_WORDS = {
+    "identity": PWord.identity(),
+    "GRAD1": PWord.grad(1),
+    "X1.GRAD2": PWord((("X", 1), ("GRAD", 2))),
+}
+
+
+@pytest.mark.parametrize(
+    "d,word",
+    [(d, word) for d in (1, 2, 3) for word in _WORDS if d >= 2 or word != "X1.GRAD2"],
+)
+def test_bilinear_kernel_matches_dense_reference(d, word):
+    w = _WORDS[word]
+    basis = HermiteBasis(1, bilinear_min_K(16) + w.order)
+    for N in (4, 8, 16):
+        for M in (2, 4):
+            got = derivative_bilinear_ratio(basis, d, w, w, N, M, math.pi, 2, 31)["raws"]
+            want = _dense_reference_raws(basis, d, w, w, N, M, math.pi, 2, 31)
+            assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_bilinear_trial_memory_bounded():
+    # one N = 64 trial at d = 2 once held Q x time-node complex arrays per axis
+    # (3910 x 1024, 64 MB each), 131.5 MiB in all on top of the tables
+    basis = HermiteBasis(1, bilinear_min_K(64))
+    basis.values  # the tables are the basis's, built once outside the trial
+    ident = PWord.identity()
+    tracemalloc.start()
+    try:
+        derivative_bilinear_ratio(basis, 2, ident, ident, 64, 2, math.pi, 1, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_derivative_bilinear_validates_inputs():
