@@ -16,6 +16,10 @@ Conventions used throughout the package:
 * A basis of max degree K ships a w = 2 rule with Q = 2K + 2 nodes: products of up to
   four degree-K basis functions (the cubic nonlinearity tested against a basis function,
   and the quadrilinear integrals of the estimates lab) are integrated exactly.
+* Transforms between coefficients and grid values run on *real planes*: a complex
+  tensor of shape (n,)*d is held as a float array of shape (2,) + (n,)*d, real part
+  first, and the real tables are applied to both planes at once by one contraction
+  primitive, _contract_planes.
 """
 
 from __future__ import annotations
@@ -282,6 +286,11 @@ class HermiteBasis:
         return (2 * sum(grids) + self.d).astype(np.int64)
 
     @cached_property
+    def _synthesis_matrix(self) -> np.ndarray:
+        """(Q, K+1) contiguous synthesis table: row i is h_m(x_i), m = 0..K."""
+        return np.ascontiguousarray(self.values[: self.K + 1].T)
+
+    @cached_property
     def _dual_matrix(self) -> np.ndarray:
         """(K+1, Q) raw dual functionals: row m is W_i h_m(x_i).
 
@@ -297,7 +306,7 @@ class HermiteBasis:
         D = self._dual_matrix
         gram = D @ V.T
         chol = cho_factor(gram, lower=True)
-        return cho_solve(chol, D)
+        return np.ascontiguousarray(cho_solve(chol, D))
 
     def mode_values(self, m) -> np.ndarray:
         """Grid values of the basis mode h_m (degree components may exceed K up to K_eval)."""
@@ -363,21 +372,47 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def _contract_axes(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Apply `table` (rows indexed like axis entries) along every axis in turn."""
-    out = coeffs
-    for _ in range(coeffs.ndim):
-        # contract the leading axis and push the result to the back: after ndim
-        # passes every axis has been transformed once and the order is restored.
-        out = np.tensordot(table, out, axes=(1, 0))
-        out = np.moveaxis(out, 0, -1)
+def _pass_buffers(d: int, k: int, m: int) -> list[np.ndarray]:
+    """Output buffers of the d passes of _contract_planes: (k,)*d planes to (m,)*d."""
+    return [np.empty((2,) + (m,) * (j + 1) + (k,) * (d - j - 1)) for j in range(d)]
+
+
+def _contract_planes(x: np.ndarray, table: np.ndarray, outs: list[np.ndarray]) -> np.ndarray:
+    """Apply the real (m, k) `table` along every spatial axis of the planes x.
+
+    Plane layout: x has shape (2,) + (k,)*d, x[0] and x[1] holding the real and
+    imaginary parts of one complex tensor, so each pass is a real GEMM (no complex
+    upcast of the table).  Pass j writes into outs[j] (see _pass_buffers): axes
+    1..d-1 are contracted by left-multiplying, table @ x.reshape(lead, k, -1), and
+    the last axis by right-multiplying, x.reshape(-1, k) @ table.T.  Nothing is
+    allocated; returns outs[-1], of shape (2,) + (m,)*d.
+    """
+    m, k = table.shape
+    lead = 2
+    for out in outs[:-1]:
+        np.matmul(table, x.reshape(lead, k, -1), out=out.reshape(lead, m, -1))
+        x = out
+        lead *= m
+    np.matmul(x.reshape(-1, k), table.T, out=outs[-1].reshape(-1, m))
+    return outs[-1]
+
+
+def _transform(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """_contract_planes on the planes of a (real or complex); a fresh complex result."""
+    x = np.empty((2,) + a.shape)
+    x[0] = a.real
+    x[1] = a.imag
+    m, k = table.shape
+    y = _contract_planes(x, table, _pass_buffers(a.ndim, k, m))
+    out = np.empty(y.shape[1:], dtype=complex)
+    out.real = y[0]
+    out.imag = y[1]
     return out
 
 
 def synthesize(u: SpectralField) -> np.ndarray:
     """Evaluate the field on the tensor quadrature grid of its basis. Shape (Q,)*d."""
-    V = u.basis.values[: u.basis.K + 1]
-    return _contract_axes(u.coeffs, V.T)
+    return _transform(u.coeffs, u.basis._synthesis_matrix)
 
 
 def analyze(values: np.ndarray, basis: HermiteBasis) -> SpectralField:
@@ -389,7 +424,7 @@ def analyze(values: np.ndarray, basis: HermiteBasis) -> SpectralField:
     values = np.asarray(values)
     if values.shape != (basis.rule.size,) * basis.d:
         raise ValueError("value tensor does not match the basis grid")
-    return SpectralField(basis, _contract_axes(values.astype(complex), basis._analysis_matrix))
+    return SpectralField(basis, _transform(values, basis._analysis_matrix))
 
 
 def galerkin_project(values: np.ndarray, basis: HermiteBasis) -> SpectralField:
@@ -401,4 +436,4 @@ def galerkin_project(values: np.ndarray, basis: HermiteBasis) -> SpectralField:
     values = np.asarray(values)
     if values.shape != (basis.rule.size,) * basis.d:
         raise ValueError("value tensor does not match the basis grid")
-    return SpectralField(basis, _contract_axes(values.astype(complex), basis._dual_matrix))
+    return SpectralField(basis, _transform(values, basis._dual_matrix))

@@ -591,7 +591,7 @@ def norm_growth_experiment(u0: SpectralField, s: float, cfg: SolverConfig) -> di
     results = {}
     for tag, coupling in (("nonlinear", cfg.coupling), ("linear", 0.0)):
         cfg_run = SolverConfig(
-            dt=cfg.dt, T=cfg.T, scheme=cfg.scheme, dealiasing=cfg.dealiasing,
+            dt=cfg.dt, T=cfg.T, scheme=cfg.scheme,
             record_every=cfg.record_every, coupling=coupling, spill_tol=cfg.spill_tol,
         )
         times, norms = [], []

@@ -255,6 +255,9 @@ def test_conservation_csv_columns(tmp_path):
     assert main(["run", cfg_path, "--output-dir", str(out)]) == 0
     header = (out / "results.csv").read_text().splitlines()[0]
     assert header == "t,mass,energy,modified_energy,hs_norm_s"
+    # solver telemetry goes to the manifest only
+    diag = json.loads((out / "manifest.json").read_text())["summary"]["diagnostics"]
+    assert diag["steps_per_s"] == pytest.approx(diag["n_steps"] / diag["drive_s"])
 
 
 def test_run_api_returns_exit_code(tmp_path):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_hermite, gammaln
@@ -210,6 +212,51 @@ def test_analyze_synthesize_roundtrip_2d():
     u = SpectralField(basis, coeffs)
     back = analyze(synthesize(u), basis)
     assert_allclose(back.coeffs, u.coeffs, rtol=0, atol=1e-12 * u.l2_norm())
+
+
+def _reference_contract_axes(coeffs, table):
+    """Complex tensordot contraction of `table` along every axis: the transforms
+    before they ran as real GEMMs on the real and imaginary planes."""
+    out = coeffs
+    for _ in range(coeffs.ndim):
+        out = np.tensordot(table, out, axes=(1, 0))
+        out = np.moveaxis(out, 0, -1)
+    return out
+
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("K", [0, 1, 5, 16])
+def test_transforms_match_complex_tensordot_reference(d, K):
+    basis = HermiteBasis(d, K)
+    rng = np.random.default_rng((d, K))
+    coeffs = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
+    grid_shape = (basis.rule.size,) * d
+    grid = rng.standard_normal(grid_shape) + 1j * rng.standard_normal(grid_shape)
+    synth_t = basis.values[: K + 1].T
+    got = synthesize(SpectralField(basis, coeffs))
+    assert _max_rel(got, _reference_contract_axes(coeffs, synth_t)) <= 1e-13
+    got = galerkin_project(grid, basis).coeffs
+    assert _max_rel(got, _reference_contract_axes(grid, basis._dual_matrix)) <= 1e-13
+    got = analyze(grid, basis).coeffs
+    assert _max_rel(got, _reference_contract_axes(grid, basis._analysis_matrix)) <= 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=2),
+    K=st.integers(min_value=0, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_analyze_inverts_synthesize(d, K, seed):
+    basis = HermiteBasis(d, K)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
+    back = analyze(synthesize(SpectralField(basis, coeffs)), basis).coeffs
+    assert _max_rel(back, coeffs) <= 1e-12
 
 
 def test_galerkin_project_quartic_class_exact():

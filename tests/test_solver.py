@@ -8,6 +8,9 @@ closed form 1/2 + (1/4) (2 pi)^{-1/2}.
 
 import cmath
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from oscillab import (
     run_recorded,
     strang_step,
 )
+from oscillab.solver import _nl_increment, _phase_increment, _Workspace
 
 
 def _packet(basis, seed=0, scale=0.5):
@@ -45,8 +49,6 @@ def test_config_validation():
         SolverConfig(dt=0.1, T=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T=1.0, scheme="rk4")
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, T=1.0, dealiasing="two_thirds")
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T=1.0, record_every=0)
 
@@ -106,6 +108,61 @@ def test_nonlinear_phase_step_zero_coupling_noop():
     assert np.array_equal(v.coeffs, u.coeffs)
 
 
+def test_fused_phase_factor_within_4_ulp():
+    # v = sqrt(theta) on the real axis, so the increment planes are
+    # ((cos theta - 1) v, -sin(theta) v); the reference is evaluated at the
+    # theta the helper itself forms, fl(v^2)
+    mpmath = pytest.importorskip("mpmath")
+    vr = np.sqrt(np.logspace(-12, 0, 241))
+    theta = vr * vr
+    gr, gi = vr.copy(), np.zeros_like(vr)
+    _phase_increment(gr, gi, 1.0, *(np.empty_like(vr) for _ in range(3)))
+    with mpmath.workdps(50):
+        for i in range(vr.size):
+            th, x = mpmath.mpf(float(theta[i])), mpmath.mpf(float(vr[i]))
+            for got, want in ((gr[i], (mpmath.cos(th) - 1) * x), (gi[i], -mpmath.sin(th) * x)):
+                want = float(want)
+                assert abs(got - want) <= 4 * np.spacing(abs(want)), (theta[i], got, want)
+
+
+def test_nl_increment_allocates_nothing_per_step():
+    basis = HermiteBasis(2, 64)
+    c = _packet(basis, seed=13).coeffs
+    work = _Workspace(basis)
+    _nl_increment(c, basis, 1e-4, 1.0, work)
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            _nl_increment(c, basis, 1e-4, 1.0, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
+
+
+def test_concurrent_runs_on_shared_basis_match_serial():
+    basis = HermiteBasis(2, 16)
+    data = [_packet(basis, seed=seed, scale=1.0) for seed in (14, 15)]
+    cfg = SolverConfig(dt=1e-3, T=0.2, record_every=20)
+
+    def trajectory(u0):
+        seen = []
+        run_recorded(u0, cfg, lambda t, u: seen.append(u.coeffs))
+        return np.stack(seen)
+
+    serial = [trajectory(u0) for u0 in data]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(trajectory, u0) for u0 in data]
+            threaded = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)
+
+
 def _global_error(step_fn, u0, dt, T, cfg, reference):
     u = u0
     n = round(T / dt)
@@ -158,7 +215,10 @@ def test_run_recorded_linear_branch_exact():
     cfg = SolverConfig(dt=0.01, T=0.3, record_every=10, coupling=0.0)
     seen = []
     diag = run_recorded(u0, cfg, lambda t, u: seen.append((t, u)))
+    telemetry = {k: diag.pop(k) for k in ("drive_s", "steps_per_s")}
     assert diag == {"n_steps": 30, "max_step_defect": 0.0, "tainted": False}
+    assert telemetry["drive_s"] > 0.0
+    assert telemetry["steps_per_s"] == 30 / telemetry["drive_s"]
     times = [t for t, _ in seen]
     assert times[0] == 0.0 and times[-1] == pytest.approx(0.3)
     for t, u_t in seen:
