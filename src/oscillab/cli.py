@@ -281,12 +281,28 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _fmt_column(col) -> list[str]:
+    """One column's cells as text: a single C-level map when every cell has the same
+    builtin type (the text _fmt_cell gives), else _fmt_cell per cell."""
+    kinds = set(map(type, col))
+    if kinds == {float}:
+        return list(map(repr, col))
+    if len(kinds) == 1 and kinds <= {int, bool, str}:
+        return list(map(str, col))
+    return [_fmt_cell(v) for v in col]
+
+
+_CSV_BLOCK_ROWS = 1024
+
+
 def _write_csv(path: str, columns, rows) -> None:
+    """Write the table in blocks of rows, formatted column by column."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            writer.writerows(zip(*map(_fmt_column, zip(*block))))
 
 
 def _jsonable(obj):
@@ -338,24 +354,11 @@ def _run_identity_k1(resolved: dict, threads: int) -> DriverResult:
                 f"((K+1)^4 rows); use d >= 2 for sampled tuples at larger K",
             )
         scan = identity_residual_scan_1d(K)
-        n = K + 1
-        mu = 2 * np.arange(n) + 1
-        L0f = scan["L0"].ravel()
-        rhsf = scan["rhs"].ravel()
-        resf = scan["residual"].ravel()
-        resof = scan["resonant"].ravel()
+        mu = 2 * np.indices((K + 1,) * 4, dtype=np.int32).reshape(4, -1) + 1  # C order
+        cols = (*mu, *(scan[key].ravel() for key in ("L0", "rhs", "residual", "resonant")))
         rows = []
-        idx = 0
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for e in range(n):
-                        rows.append([
-                            int(mu[a]), int(mu[b]), int(mu[c]), int(mu[e]),
-                            float(L0f[idx]), float(rhsf[idx]), float(resf[idx]),
-                            bool(resof[idx]),
-                        ])
-                        idx += 1
+        for start in range(0, mu.shape[1], _CSV_BLOCK_ROWS):  # no whole-column lists at once
+            rows += zip(*(c[start:start + _CSV_BLOCK_ROWS].tolist() for c in cols))
         nonres = ~scan["resonant"]
         summary = {
             "max_residual": float(np.nanmax(scan["residual"][nonres])),

@@ -79,6 +79,12 @@ def eigenvalue(m, d: int) -> int:
     return 2 * m.degree + d
 
 
+def eigenvalue_box(d: int, n: int) -> np.ndarray:
+    """Eigenvalues 2|m| + d over the index box m_j < n, shape (n,)*d (integer-exact)."""
+    grids = np.meshgrid(*[np.arange(n)] * d, indexing="ij")
+    return (2 * sum(grids) + d).astype(np.int64)
+
+
 def _hermite_rows(K_eval: int, x: np.ndarray):
     """Yield the rows h_0(x), ..., h_{K_eval}(x) of the renormalized recurrence.
 
@@ -282,8 +288,7 @@ class HermiteBasis:
     @cached_property
     def lambda_sq(self) -> np.ndarray:
         """Tensor of eigenvalues 2|m| + d over the coefficient shape (integer-exact)."""
-        grids = np.meshgrid(*[np.arange(self.K + 1)] * self.d, indexing="ij")
-        return (2 * sum(grids) + self.d).astype(np.int64)
+        return eigenvalue_box(self.d, self.K + 1)
 
     @cached_property
     def _synthesis_matrix(self) -> np.ndarray:

@@ -7,10 +7,19 @@ X = multiplication by x_j) couple neighbouring degrees only:
     X:     c'_n = sqrt((n_j+1)/2) c_{n+e_j} + sqrt(n_j/2) c_{n-e_j}
 
 Words are applied on arrays padded by the word order, then truncated back to the basis,
-reporting the l2 mass of the truncated tail (spillage).  Verified algebra (and the sign
+reporting the l2 mass of the truncated tail (spillage).  One kernel, _apply_letter,
+applies a letter by writing into caller-owned buffers.  Verified algebra (and the sign
 conventions tested in the suite), with H = -Laplace + |x|^2:
 
     [H, GRAD_j] = -2 X_j,   [H, X_j] = -2 GRAD_j,   GRAD_j X_j - X_j GRAD_j = Id.
+
+Bernstein ratios run on the window's coefficient box.  A mode of the Delta_N window has
+2|m| + d < 2 N^2, so every m_j <= K_N = min(K, (2 N^2 - d - 1) // 2), and a trial field
+lives in the box m_j <= K_N.  A letter moves one degree by one, so the image of a word of
+order r lies in that box padded by r, and the padded array holds all of it: its norm is
+||P u|| itself, the quantity the full-basis computation recovered as hypot(kept, spill).
+Each image entry is the same products summed in the same order as on the full basis;
+only the summation order of the norm differs, at roundoff.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import HermiteBasis, SpectralField
+from .hermite import HermiteBasis, SpectralField, eigenvalue_box
 
 __all__ = [
     "PWord",
@@ -81,21 +90,43 @@ class PWord:
         return PWord(self.letters + other.letters)
 
 
-def _apply_letter(work: np.ndarray, letter: str, axis: int) -> np.ndarray:
-    """One ladder letter along `axis` (0-based) of a dense tensor."""
-    w = np.moveaxis(work, axis, 0)
-    out = np.zeros_like(w)
-    L = w.shape[0]
-    n = np.arange(L, dtype=float)
-    shape = (-1,) + (1,) * (w.ndim - 1)
+def _along(axis: int, ndim: int, index: slice) -> tuple:
+    """Index tuple applying `index` along `axis` and taking every other axis whole."""
+    return (slice(None),) * axis + (index,) + (slice(None),) * (ndim - axis - 1)
+
+
+def _apply_letter(src: np.ndarray, out: np.ndarray, tmp: np.ndarray,
+                  letter: str, axis: int) -> None:
+    """One ladder letter along `axis` (0-based): writes the image of `src` into `out`.
+
+    `out` and `tmp` are caller-owned buffers of src's shape; `src` is only read.  Entry n
+    is formed as the zero-initialised sum (0 + up_n src[n+1]) -/+ down_n src[n-1], in that
+    order, whatever the array's extent beyond the support.
+    """
+    ndim = src.ndim
+    n = np.arange(src.shape[axis], dtype=float)
+    shape = [1] * ndim
+    shape[axis] = n.size - 1
     up = np.sqrt((n[:-1] + 1.0) / 2.0).reshape(shape)
     down = np.sqrt(n[1:] / 2.0).reshape(shape)
-    out[:-1] += up * w[1:]
-    if letter == "GRAD":
-        out[1:] -= down * w[:-1]
-    else:
-        out[1:] += down * w[:-1]
-    return np.moveaxis(out, 0, axis)
+    lo, hi = _along(axis, ndim, slice(None, -1)), _along(axis, ndim, slice(1, None))
+    np.multiply(up, src[hi], out=tmp[lo])
+    np.add(tmp[lo], 0.0, out=out[lo])  # 0 + p: a -0.0 product reads +0.0, as in a zeroed sum
+    out[_along(axis, ndim, slice(-1, None))] = 0.0
+    np.multiply(down, src[lo], out=tmp[hi])
+    (np.subtract if letter == "GRAD" else np.add)(out[hi], tmp[hi], out=out[hi])
+
+
+def _apply_word(work: np.ndarray, word: PWord, out: np.ndarray,
+                tmp: np.ndarray) -> np.ndarray:
+    """Apply the word's letters in turn; returns whichever of `work` and `out` holds
+    the image.  All three arrays share one shape; `work` and `out` are overwritten."""
+    for letter, axis in word.letters:
+        if axis > work.ndim:
+            raise ValueError(f"letter axis {axis} exceeds dimension {work.ndim}")
+        _apply_letter(work, out, tmp, letter, axis - 1)
+        work, out = out, work
+    return work
 
 
 def _pad(coeffs: np.ndarray, extra: int) -> np.ndarray:
@@ -109,20 +140,13 @@ def _truncate_with_spill(work: np.ndarray, K: int) -> tuple[np.ndarray, float]:
     return inner.copy(), math.sqrt(max(total - kept, 0.0))
 
 
-def _apply_word_padded(work: np.ndarray, word: PWord, d: int) -> np.ndarray:
-    for letter, axis in word.letters:
-        if axis > d:
-            raise ValueError(f"letter axis {axis} exceeds dimension {d}")
-        work = _apply_letter(work, letter, axis - 1)
-    return work
-
-
 def apply_P(u: SpectralField, word: PWord) -> tuple[SpectralField, float]:
     """Apply a ladder word; returns (truncated field, l2 spillage beyond the basis)."""
     if word.order == 0:
         return u.copy(), 0.0
-    work = _apply_word_padded(_pad(u.coeffs, word.order), word, u.basis.d)
-    inner, spill = _truncate_with_spill(work, u.basis.K)
+    work = _pad(u.coeffs, word.order)
+    image = _apply_word(work, word, np.empty_like(work), np.empty_like(work))
+    inner, spill = _truncate_with_spill(image, u.basis.K)
     return SpectralField(u.basis, inner), spill
 
 
@@ -131,18 +155,15 @@ def apply_H(u: SpectralField) -> SpectralField:
     return SpectralField(u.basis, u.coeffs * u.basis.lambda_sq)
 
 
-def _lambda_sq_padded(d: int, L: int) -> np.ndarray:
-    grids = np.meshgrid(*[np.arange(L)] * d, indexing="ij")
-    return (2 * sum(grids) + d).astype(np.int64)
-
-
 def commutator_H_P(u: SpectralField, word: PWord) -> tuple[SpectralField, float]:
     """[H, P] u = H(Pu) - P(Hu), evaluated on padded arrays before truncation."""
     d, K = u.basis.d, u.basis.K
     work = _pad(u.coeffs, max(word.order, 1))
-    lam = _lambda_sq_padded(d, work.shape[0])
-    p_of_hu = _apply_word_padded(lam * work, word, d)
-    h_of_pu = lam * _apply_word_padded(work, word, d)
+    lam = eigenvalue_box(d, work.shape[0])
+    hu = lam * work
+    out, tmp = np.empty_like(work), np.empty_like(work)
+    h_of_pu = lam * _apply_word(work, word, out, tmp)
+    p_of_hu = _apply_word(hu, word, out, tmp)
     inner, spill = _truncate_with_spill(h_of_pu - p_of_hu, K)
     return SpectralField(u.basis, inner), spill
 
@@ -222,14 +243,11 @@ class IOperatorSpec:
 
     N: int
     s: float
-    transition: str = "cubic"
 
     def __post_init__(self):
         _check_dyadic(self.N)
         if not self.s > 1.0:
             raise ValueError(f"s must be > 1, got {self.s}")
-        if self.transition != "cubic":
-            raise ValueError(f"unknown transition {self.transition!r}")
 
 
 def i_multiplier(spec: IOperatorSpec, lam: np.ndarray) -> np.ndarray:
@@ -262,36 +280,40 @@ def bernstein_ratio(basis: HermiteBasis, word: PWord, N: int, trials: int, seed:
     """max over trial fields u supported in the Delta_N window of ||P u|| / (N^ord ||u||).
 
     The first two trials are the extreme window modes (top and bottom eigenvalue),
-    the rest are random complex Gaussian fields on the window.
+    the rest are random complex Gaussian fields on the window.  Trials live on the
+    window's coefficient box padded by the word order (see the module docstring).
     """
     N = _check_dyadic(N)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    lsq = basis.lambda_sq
+    d = basis.d
+    n = min(basis.K, (2 * N * N - d - 1) // 2) + 1  # 2|m| + d < 2 N^2 bounds every m_j
+    lsq = eigenvalue_box(d, n)
     window = (4 * lsq > N * N) & (lsq < 2 * N * N)
     n_window = int(window.sum())
     if n_window == 0:
         raise ValueError(f"Delta_{N} window contains no modes at K = {basis.K}")
-    flat_idx = np.flatnonzero(window.ravel())
-    lam_flat = lsq.ravel()[flat_idx]
+    if word.order == 0:
+        return 1.0
+    modes = np.argwhere(window)  # lexicographic, the order of the full basis
+    lam = lsq[window]
+    work = np.zeros((n + word.order,) * d, dtype=complex)
+    out, tmp = np.empty_like(work), np.empty_like(work)
+    box = (slice(0, n),) * d
+    scale = float(N) ** word.order
     ratios = []
     for trial in range(trials):
-        coeffs = np.zeros(basis.shape, dtype=complex)
-        if trial == 0:
-            pick = flat_idx[int(np.argmax(lam_flat))]
-            coeffs.ravel()[pick] = 1.0
-        elif trial == 1 and n_window > 1:
-            pick = flat_idx[int(np.argmin(lam_flat))]
-            coeffs.ravel()[pick] = 1.0
+        work.fill(0.0)
+        if trial == 0 or (trial == 1 and n_window > 1):
+            pick = np.argmax(lam) if trial == 0 else np.argmin(lam)
+            work[tuple(modes[pick])] = 1.0
+            u_norm = 1.0
         else:
             rng = np.random.default_rng(np.random.SeedSequence((seed, N, trial)))
             z = rng.standard_normal(n_window) + 1j * rng.standard_normal(n_window)
-            coeffs.ravel()[flat_idx] = z / np.linalg.norm(z)
-        u = SpectralField(basis, coeffs)
-        if word.order == 0:
-            ratios.append(1.0)
-            continue
-        image, spill = apply_P(u, word)
-        full_norm = math.hypot(image.l2_norm(), spill)
-        ratios.append(full_norm / (float(N) ** word.order * u.l2_norm()))
+            c = z / np.linalg.norm(z)
+            work[box][window] = c
+            u_norm = float(np.linalg.norm(c))
+        image = _apply_word(work, word, out, tmp)
+        ratios.append(math.sqrt(np.vdot(image, image).real) / (scale * u_norm))
     return max(ratios)

@@ -286,3 +286,42 @@ def test_negative_seed_override_rejected(tmp_path, capsys):
     cfg_path = _write(tmp_path, FAST_IDENTITY)
     assert main(["run", cfg_path, "--seed", "-1"]) == 1
     assert "seed" in capsys.readouterr().err
+
+
+def _reference_write_csv(path, columns, rows):
+    """The per-cell writer the column formatter replaced."""
+    import csv
+
+    def fmt(v):
+        if isinstance(v, (bool, np.bool_)):
+            return str(bool(v))
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        return str(v)
+
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+def test_write_csv_matches_per_cell_formatting(tmp_path):
+    from oscillab.cli import _CSV_BLOCK_ROWS, _write_csv
+
+    rng = np.random.default_rng(3)
+    n = _CSV_BLOCK_ROWS + 37  # one full block and a partial one
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    x[:4] = [float("nan"), float("inf"), -0.0, 1e-320]
+    rows = [[int(i), float(v), bool(i % 3), f"w,{i}", True] for i, v in enumerate(x)]
+    # numpy scalars and mixed types put the second block's columns on the per-cell path
+    rows[-1] = [np.int64(7), np.float64(0.1), np.bool_(False), "plain", 2]
+    rows[-2][4] = 2.5
+    columns = ["i", "x", "flag", "label", "mixed"]
+    _write_csv(str(tmp_path / "new.csv"), columns, rows)
+    _reference_write_csv(str(tmp_path / "ref.csv"), columns, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _write_csv(str(tmp_path / "empty.csv"), columns, [])
+    assert (tmp_path / "empty.csv").read_text() == "i,x,flag,label,mixed\n"
