@@ -29,7 +29,6 @@ from .hermite import (
 )
 from .operators import (
     IOperatorSpec,
-    LPProfile,
     PWord,
     apply_H,
     apply_I,
@@ -37,7 +36,6 @@ from .operators import (
     apply_P,
     bernstein_ratio,
     commutator_H_P,
-    default_profile,
     i_multiplier,
     littlewood_paley,
     project_pi_mu,
@@ -80,9 +78,9 @@ __all__ = [
     "analyze", "eigenvalue", "galerkin_project", "gauss_hermite_rule",
     "hermite_values_1d", "synthesize",
     # operators
-    "IOperatorSpec", "LPProfile", "PWord", "apply_H", "apply_I", "apply_I_inverse",
-    "apply_P", "bernstein_ratio", "commutator_H_P", "default_profile",
-    "i_multiplier", "littlewood_paley", "project_pi_mu", "sobolev_norm",
+    "IOperatorSpec", "PWord", "apply_H", "apply_I", "apply_I_inverse",
+    "apply_P", "bernstein_ratio", "commutator_H_P", "i_multiplier",
+    "littlewood_paley", "project_pi_mu", "sobolev_norm",
     # solver
     "EnergyReport", "SolverConfig", "energy", "evolve", "linear_propagator",
     "lie_step", "modified_energy", "nonlinear_phase_step", "run_recorded",

@@ -30,6 +30,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -420,19 +421,22 @@ def _run_orthogonality(resolved: dict, threads: int) -> DriverResult:
     return DriverResult(columns, rows, summary, derived, [], {})
 
 
-def _run_bilinear_common(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
+def _resolve_K(resolved: dict, K_needed: int) -> tuple[int, dict]:
+    """The configured K, or K_needed when the config leaves K unset; returns (K, the
+    resolved_extra entry that reports an applied K_needed)."""
+    if resolved["K"] is None:
+        return K_needed, {"K": K_needed}
+    return resolved["K"], {}
+
+
+def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
     word_b = PWord.identity()
     d, seed = resolved["d"], resolved["seed"]
     N_list, M_list = resolved["N_list"], resolved["M_list"]
     T, trials = resolved["T"], resolved["trials"]
     max_ord = max(word_a.order, word_b.order)
     K_needed = bilinear_min_K(max(max(N_list), max(M_list))) + max_ord
-    resolved_extra = {}
-    if resolved["K"] is None:
-        K = K_needed
-        resolved_extra["K"] = K
-    else:
-        K = resolved["K"]
+    K, resolved_extra = _resolve_K(resolved, K_needed)
     axis_basis = HermiteBasis(1, K)
     axis_basis.rule, axis_basis.values  # build the shared tables up front
 
@@ -477,14 +481,6 @@ def _run_bilinear_common(resolved: dict, threads: int, word_a: PWord) -> DriverR
     return DriverResult(columns, rows, summary, derived, [], resolved_extra)
 
 
-def _run_bilinear(resolved: dict, threads: int) -> DriverResult:
-    return _run_bilinear_common(resolved, threads, PWord.identity())
-
-
-def _run_bilinear_derivative(resolved: dict, threads: int) -> DriverResult:
-    return _run_bilinear_common(resolved, threads, PWord.grad(axis=1))
-
-
 def _all_words_up_to_order2(d: int) -> list[tuple[str, PWord]]:
     singles = [PWord.grad(ax) for ax in range(1, d + 1)]
     singles += [PWord.x(ax) for ax in range(1, d + 1)]
@@ -498,12 +494,7 @@ def _run_bernstein(resolved: dict, threads: int) -> DriverResult:
     N_list = resolved["N_list"]
     N_max = max(N_list)
     K_needed = (2 * N_max * N_max - d - 1) // 2  # largest degree inside the top window
-    resolved_extra = {}
-    if resolved["K"] is None:
-        K = K_needed
-        resolved_extra["K"] = K
-    else:
-        K = resolved["K"]
+    K, resolved_extra = _resolve_K(resolved, K_needed)
     basis = HermiteBasis(d, K)  # ladder algebra only; quadrature tables stay unbuilt
     words = _all_words_up_to_order2(d)
     cells = [(label, word, int(N)) for (label, word) in words for N in N_list]
@@ -539,6 +530,16 @@ def _run_bernstein(resolved: dict, threads: int) -> DriverResult:
     return DriverResult(columns, rows, summary, derived, [], resolved_extra)
 
 
+def _decaying_body(basis: HermiteBasis, rng, decay: float, degree_cut: int) -> np.ndarray:
+    """Complex Gaussian coefficients damped by exp(-degree / decay), zero above
+    degree_cut: the random body of every solver datum (real draws, then imaginary)."""
+    deg = (basis.lambda_sq - basis.d) // 2
+    body = rng.standard_normal(deg.shape) + 1j * rng.standard_normal(deg.shape)
+    body *= np.exp(-deg / decay)
+    body[deg > degree_cut] = 0.0
+    return body
+
+
 def _increment_datum(basis: HermiteBasis, seed: int) -> SpectralField:
     """Unit-mass random body below degree _INC_BODY_DEG_CUT plus a band on the top
     three degree shells.
@@ -548,13 +549,10 @@ def _increment_datum(basis: HermiteBasis, seed: int) -> SpectralField:
     narrowest I-cutoffs see that flux through their multiplier and stay strictly
     above the splitting-drift floor."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
-    deg = (basis.lambda_sq - basis.d) // 2
-    shape = deg.shape
-    body = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    body *= np.exp(-deg / _INC_BODY_DECAY)
-    body[deg > _INC_BODY_DEG_CUT] = 0.0
+    body = _decaying_body(basis, rng, _INC_BODY_DECAY, _INC_BODY_DEG_CUT)
     body /= np.linalg.norm(body)
-    band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    deg = (basis.lambda_sq - basis.d) // 2
+    band = rng.standard_normal(deg.shape) + 1j * rng.standard_normal(deg.shape)
     band[deg < deg.max() - 2] = 0.0
     band *= _INC_RING_AMP / np.linalg.norm(band)
     return SpectralField(basis, body + band)
@@ -603,11 +601,7 @@ def _run_energy_increment(resolved: dict, threads: int) -> DriverResult:
 
 def _growth_datum(basis: HermiteBasis, seed: int, s: float) -> SpectralField:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 202)))
-    deg = (basis.lambda_sq - basis.d) // 2
-    coeffs = rng.standard_normal(deg.shape) + 1j * rng.standard_normal(deg.shape)
-    coeffs *= np.exp(-deg / _GROWTH_BODY_DECAY)
-    coeffs[deg > _GROWTH_DEG_CUT] = 0.0
-    u = SpectralField(basis, coeffs)
+    u = SpectralField(basis, _decaying_body(basis, rng, _GROWTH_BODY_DECAY, _GROWTH_DEG_CUT))
     u.coeffs *= _GROWTH_HS_NORM / sobolev_norm(u, s)
     return u
 
@@ -652,10 +646,7 @@ def _run_norm_growth(resolved: dict, threads: int) -> DriverResult:
 
 def _conservation_datum(basis: HermiteBasis, seed: int) -> SpectralField:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 303)))
-    deg = (basis.lambda_sq - basis.d) // 2
-    coeffs = rng.standard_normal(deg.shape) + 1j * rng.standard_normal(deg.shape)
-    coeffs *= np.exp(-deg / _CONS_BODY_DECAY)
-    coeffs[deg > _CONS_DEG_CUT] = 0.0
+    coeffs = _decaying_body(basis, rng, _CONS_BODY_DECAY, _CONS_DEG_CUT)
     coeffs *= math.sqrt(_CONS_MASS) / np.linalg.norm(coeffs)
     return SpectralField(basis, coeffs)
 
@@ -698,8 +689,8 @@ def _run_conservation(resolved: dict, threads: int) -> DriverResult:
 EXPERIMENTS: dict[str, tuple] = {
     "identity_k1": (_run_identity_k1, "quadrilinear identity residuals over eigenspace tuples"),
     "orthogonality": (_run_orthogonality, "decay of the quadrilinear form in the separated eigenvalue"),
-    "bilinear": (_run_bilinear, "bilinear space-time norms of wave-packet pairs across dyadic windows"),
-    "bilinear_derivative": (_run_bilinear_derivative, "bilinear norms with a gradient word on the high-frequency factor"),
+    "bilinear": (partial(_run_bilinear, word_a=PWord.identity()), "bilinear space-time norms of wave-packet pairs across dyadic windows"),
+    "bilinear_derivative": (partial(_run_bilinear, word_a=PWord.grad(axis=1)), "bilinear norms with a gradient word on the high-frequency factor"),
     "bernstein": (_run_bernstein, "ladder-word operator norms on dyadic windows vs N^order"),
     "energy_increment": (_run_energy_increment, "modified-energy increments across I-operator cutoffs"),
     "norm_growth": (_run_norm_growth, "long-time Sobolev growth with linear control run"),

@@ -48,6 +48,8 @@ __all__ = [
 
 #: Resource guard: largest degree for which value tables may be materialized.
 HARD_CAP_K_EVAL = 4400
+#: Value-table degrees above K: one per letter of a ladder word applied to a field.
+HEADROOM = 8
 
 _LOG2E = 1.0 / math.log(2.0)
 _RENORM_EVERY = 8
@@ -238,22 +240,19 @@ def gauss_hermite_rule(Q: int, w: int = 2) -> QuadratureRule:
 class HermiteBasis:
     """Truncated tensor Hermite basis: all modes with max_j m_j <= K in dimension d.
 
-    Value tables go up to K_eval = K + headroom so that ladder images of degree-K
+    Value tables go up to K_eval = K + HEADROOM so that ladder images of degree-K
     fields (one extra degree per applied letter) can still be synthesized on the grid.
     Tables and rules are built lazily; coefficient-space work never touches them.
     """
 
     d: int
     K: int
-    headroom: int = 8
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         if self.K < 0:
             raise ValueError("K must be >= 0")
-        if self.headroom < 0:
-            raise ValueError("headroom must be >= 0")
         if self.K_eval > HARD_CAP_K_EVAL:
             raise ValueError(
                 f"K_eval = {self.K_eval} exceeds the hard cap {HARD_CAP_K_EVAL}"
@@ -261,7 +260,7 @@ class HermiteBasis:
 
     @property
     def K_eval(self) -> int:
-        return self.K + self.headroom
+        return self.K + HEADROOM
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -19,19 +19,23 @@ every single axis cancels, not only the full mirror x -> -x.
 The bilinear measurements tensorize per axis.  On each axis the kernel first bounds
 v's support from the coefficients alone, evaluates v only there, and runs the
 real-table products as real GEMMs on the interleaved view of the complex data.
+
+Every ladder letter here -- the gradients of the k = 1 identity, its 1-D derivative
+table and the words on the bilinear factors -- goes through the one kernel of
+operators (operators._letter_image); lab holds no ladder coefficient of its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
 
 from .hermite import HermiteBasis, MultiIndex, SpectralField
-from .operators import IOperatorSpec, PWord, i_multiplier, sobolev_norm
-from .solver import SolverConfig, energy, modified_energy, run_recorded
+from .operators import IOperatorSpec, PWord, _letter_image, i_multiplier, sobolev_norm
+from .solver import SolverConfig, energy, run_recorded
 
 __all__ = [
     "QuadTuple",
@@ -152,21 +156,6 @@ def _synth_real(coeffs: np.ndarray, basis: HermiteBasis) -> np.ndarray:
     return out
 
 
-def _grad_ext(coeffs: np.ndarray, axis: int) -> np.ndarray:
-    """Gradient along `axis` with the array grown by one degree on that axis."""
-    shape = list(coeffs.shape)
-    shape[axis] += 1
-    out = np.zeros(shape, dtype=coeffs.dtype)
-    w = np.moveaxis(out, axis, 0)
-    c = np.moveaxis(coeffs, axis, 0)
-    L = c.shape[0]
-    n = np.arange(L + 1, dtype=float)
-    bshape = (-1,) + (1,) * (c.ndim - 1)
-    w[: L - 1] += np.sqrt(n[1:L] / 2.0).reshape(bshape)[: L - 1] * c[1:]
-    w[1:] -= np.sqrt(n[1:] / 2.0).reshape(bshape) * c[:L]
-    return out
-
-
 def _folded_rule_sum(integrand: np.ndarray, basis: HermiteBasis) -> float:
     """Quadrature sum folded over the exact node mirror symmetry of each axis.
 
@@ -204,7 +193,7 @@ def quad_L1_plus_weight(qt: QuadTuple) -> tuple[float, float]:
     grads = []
     for e in qt.fields:
         grads.append([
-            _synth_real(_grad_ext(e.coeffs.real, ax), basis) for ax in range(d)
+            _synth_real(_letter_image(e.coeffs.real, "GRAD", ax)[1], basis) for ax in range(d)
         ])
     L1 = 0.0
     for (a, b), (c_, d_) in (((1, 2), (0, 3)), ((1, 3), (0, 2)), ((2, 3), (0, 1))):
@@ -248,15 +237,11 @@ def identity_residual_scan_1d(K_max: int) -> dict:
     Q = basis.rule.size
     W = basis.rule.weights
     V = basis.values[: K_max + 2]  # one extra degree for gradients
-    DV = np.zeros_like(V[: K_max + 1])
-    for k in range(K_max + 1):
-        DV[k] = -math.sqrt((k + 1) / 2.0) * V[k + 1]
-        if k >= 1:
-            DV[k] += math.sqrt(k / 2.0) * V[k - 1]
     half = Q // 2
+    # h_k' = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}: the negated GRAD image of the rows
+    D = -_letter_image(V[:, :half], "GRAD", 0)[1][: K_max + 1]
     Wh = W[:half]
     A = V[: K_max + 1, :half]
-    D = DV[:, :half]
     X2 = basis.rule.nodes[:half] ** 2
     k_arange = np.arange(K_max + 1)
     parity = np.where((k_arange[:, None, None, None] + k_arange[None, :, None, None]
@@ -404,29 +389,6 @@ def _draw_packet_pair(rng, d: int, N: int, M: int, T: float, K_cap: int):
     return u_axes, v_axes
 
 
-def _axis_word_letters(word: PWord, axis: int):
-    return [letter for (letter, ax) in word.letters if ax - 1 == axis]
-
-
-def _ladder_window(m0: int, c: np.ndarray, letter: str) -> tuple[int, np.ndarray]:
-    """Apply one ladder letter to a windowed 1-D coefficient vector."""
-    lo = max(m0 - 1, 0)
-    hi = m0 + c.size  # top degree grows by one
-    out = np.zeros(hi - lo + 1, dtype=complex)
-    m_new = np.arange(lo, hi + 1)
-    idx_up = m_new + 1 - m0
-    ok = (idx_up >= 0) & (idx_up < c.size)
-    out[ok] += np.sqrt((m_new[ok] + 1) / 2.0) * c[idx_up[ok]]
-    idx_dn = m_new - 1 - m0
-    ok = (idx_dn >= 0) & (idx_dn < c.size)
-    down = np.sqrt(m_new[ok] / 2.0) * c[idx_dn[ok]]
-    if letter == "GRAD":
-        out[ok] -= down
-    else:
-        out[ok] += down
-    return lo, out
-
-
 def _time_rule(T: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre in time: panels shrink like 1/N to resolve the
     O(1/(2N)) crossing spike; 8 nodes per panel."""
@@ -497,11 +459,10 @@ def derivative_bilinear_ratio(
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, N, M, trial)))
         u_axes, v_axes = _draw_packet_pair(rng, d, N, M, T, K_draw)
-        for axis in range(d):
-            for letter in _axis_word_letters(word_a, axis):
-                u_axes[axis] = _ladder_window(*u_axes[axis], letter)
-            for letter in _axis_word_letters(word_b, axis):
-                v_axes[axis] = _ladder_window(*v_axes[axis], letter)
+        for word, axes in ((word_a, u_axes), (word_b, v_axes)):
+            for letter, ax in word.letters:  # each axis's letters in word order
+                m0, c = axes[ax - 1]
+                axes[ax - 1] = _letter_image(c, letter, 0, m0)
         prof = np.ones_like(tg)
         for (m0u, cu), (m0v, cv) in zip(u_axes, v_axes):
             Vv = V[m0v:m0v + cv.size]
@@ -590,10 +551,7 @@ def norm_growth_experiment(u0: SpectralField, s: float, cfg: SolverConfig) -> di
     A linear control (coupling = 0) of the same datum is fitted identically."""
     results = {}
     for tag, coupling in (("nonlinear", cfg.coupling), ("linear", 0.0)):
-        cfg_run = SolverConfig(
-            dt=cfg.dt, T=cfg.T, scheme=cfg.scheme,
-            record_every=cfg.record_every, coupling=coupling, spill_tol=cfg.spill_tol,
-        )
+        cfg_run = replace(cfg, coupling=coupling)
         times, norms = [], []
 
         def on_record(t, u_t):

@@ -8,8 +8,9 @@ X = multiplication by x_j) couple neighbouring degrees only:
 
 Words are applied on arrays padded by the word order, then truncated back to the basis,
 reporting the l2 mass of the truncated tail (spillage).  One kernel, _apply_letter,
-applies a letter by writing into caller-owned buffers.  Verified algebra (and the sign
-conventions tested in the suite), with H = -Laplace + |x|^2:
+applies a letter by writing into caller-owned buffers; _letter_image wraps it for a
+coefficient window that starts at any degree, and is how lab applies its letters.
+Verified algebra (and the sign conventions tested in the suite), with H = -Laplace + |x|^2:
 
     [H, GRAD_j] = -2 X_j,   [H, X_j] = -2 GRAD_j,   GRAD_j X_j - X_j GRAD_j = Id.
 
@@ -33,13 +34,11 @@ from .hermite import HermiteBasis, SpectralField, eigenvalue_box
 
 __all__ = [
     "PWord",
-    "LPProfile",
     "IOperatorSpec",
     "apply_P",
     "apply_H",
     "commutator_H_P",
     "project_pi_mu",
-    "default_profile",
     "littlewood_paley",
     "sobolev_norm",
     "i_multiplier",
@@ -96,15 +95,16 @@ def _along(axis: int, ndim: int, index: slice) -> tuple:
 
 
 def _apply_letter(src: np.ndarray, out: np.ndarray, tmp: np.ndarray,
-                  letter: str, axis: int) -> None:
+                  letter: str, axis: int, n0: int = 0) -> None:
     """One ladder letter along `axis` (0-based): writes the image of `src` into `out`.
 
-    `out` and `tmp` are caller-owned buffers of src's shape; `src` is only read.  Entry n
-    is formed as the zero-initialised sum (0 + up_n src[n+1]) -/+ down_n src[n-1], in that
-    order, whatever the array's extent beyond the support.
+    Index i along `axis` holds degree n0 + i.  `out` and `tmp` are caller-owned buffers
+    of src's shape; `src` is only read.  Entry n is formed as the zero-initialised sum
+    (0 + up_n src[n+1]) -/+ down_n src[n-1], in that order, whatever the array's extent
+    beyond the support.  Degrees n0 - 1 and n0 + len are read as zero.
     """
     ndim = src.ndim
-    n = np.arange(src.shape[axis], dtype=float)
+    n = np.arange(n0, n0 + src.shape[axis], dtype=float)
     shape = [1] * ndim
     shape[axis] = n.size - 1
     up = np.sqrt((n[:-1] + 1.0) / 2.0).reshape(shape)
@@ -115,6 +115,20 @@ def _apply_letter(src: np.ndarray, out: np.ndarray, tmp: np.ndarray,
     out[_along(axis, ndim, slice(-1, None))] = 0.0
     np.multiply(down, src[lo], out=tmp[hi])
     (np.subtract if letter == "GRAD" else np.add)(out[hi], tmp[hi], out=out[hi])
+
+
+def _letter_image(c: np.ndarray, letter: str, axis: int, n0: int = 0) -> tuple[int, np.ndarray]:
+    """The whole image of one letter on a window whose index 0 along `axis` has degree
+    n0: returns (start degree, image).  The window grows by one degree above, and by one
+    below when n0 > 0, so the image holds every degree the letter reaches."""
+    below = 1 if n0 > 0 else 0
+    shape = list(c.shape)
+    shape[axis] += 1 + below
+    src = np.zeros(shape, dtype=c.dtype)
+    src[_along(axis, c.ndim, slice(below, below + c.shape[axis]))] = c
+    out = np.empty_like(src)
+    _apply_letter(src, out, np.empty_like(src), letter, axis, n0 - below)
+    return n0 - below, out
 
 
 def _apply_word(work: np.ndarray, word: PWord, out: np.ndarray,
@@ -187,27 +201,19 @@ def _ramp(t: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LPProfile:
-    """Smooth dyadic profile pair: eta = 1 on [0,1], 0 on [2,inf); psi(x) = eta(x) - eta(4x)."""
+def _eta(x) -> np.ndarray:
+    """Smooth dyadic cutoff: 1 on [0, 1], 0 on [2, inf)."""
+    x = np.asarray(x, dtype=float)
+    f_hi = _ramp(2.0 - x)
+    f_lo = _ramp(x - 1.0)
+    with np.errstate(invalid="ignore"):
+        out = np.where(x <= 1.0, 1.0, np.where(x >= 2.0, 0.0, f_hi / (f_hi + f_lo)))
+    return out
 
-    eta: object
-    psi: object
 
-
-def default_profile() -> LPProfile:
-    def eta(x):
-        x = np.asarray(x, dtype=float)
-        f_hi = _ramp(2.0 - x)
-        f_lo = _ramp(x - 1.0)
-        with np.errstate(invalid="ignore"):
-            out = np.where(x <= 1.0, 1.0, np.where(x >= 2.0, 0.0, f_hi / (f_hi + f_lo)))
-        return out
-
-    def psi(x):
-        return eta(x) - eta(4.0 * np.asarray(x, dtype=float))
-
-    return LPProfile(eta=eta, psi=psi)
+def _psi(x) -> np.ndarray:
+    """Dyadic bump psi(x) = eta(x) - eta(4x)."""
+    return _eta(x) - _eta(4.0 * np.asarray(x, dtype=float))
 
 
 def _check_dyadic(N: int) -> int:
@@ -217,12 +223,10 @@ def _check_dyadic(N: int) -> int:
     return N
 
 
-def littlewood_paley(u: SpectralField, N: int, profile: LPProfile | None = None) -> SpectralField:
+def littlewood_paley(u: SpectralField, N: int) -> SpectralField:
     """Dyadic block Delta_N u = psi(H / N^2) u; supported where N^2/4 < 2|m|+d < 2 N^2."""
     N = _check_dyadic(N)
-    if profile is None:
-        profile = default_profile()
-    mult = profile.psi(u.basis.lambda_sq / float(N * N))
+    mult = _psi(u.basis.lambda_sq / float(N * N))
     return SpectralField(u.basis, u.coeffs * mult)
 
 

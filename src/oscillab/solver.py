@@ -18,7 +18,11 @@ worth noting:
   linear flow bit for bit;
 * the only mass defect per step is the O(dt^2) projection loss of the phase
   factor's higher terms.  The per-step relative defect is tracked and the run is
-  flagged (tainted) when it exceeds SolverConfig.spill_tol.
+  flagged (tainted) when it exceeds SPILL_TOL.
+
+One step body, _step, applies a Strang or Lie step in place; run_recorded drives it
+with a workspace and phase array built once per run, and strang_step and lie_step
+are one-step wrappers around it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermite import HermiteBasis, SpectralField, _contract_planes, _pass_buffers, synthesize
-from .operators import IOperatorSpec, i_multiplier, sobolev_norm
+from .operators import IOperatorSpec, apply_I, sobolev_norm
 
 __all__ = [
     "SolverConfig",
@@ -45,7 +49,9 @@ __all__ = [
     "modified_energy",
 ]
 
-_SCHEMES = ("strang", "lie")
+# each scheme's linear substep, as a fraction of dt: L(dt/2) N(dt) L(dt/2) or N(dt) L(dt)
+_SCHEMES = {"strang": 0.5, "lie": 1.0}
+SPILL_TOL = 1e-8  # largest relative mass defect per step of an untainted run
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,6 @@ class SolverConfig:
     scheme: str = "strang"
     record_every: int = 10
     coupling: float = 1.0
-    spill_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -63,7 +68,7 @@ class SolverConfig:
         if self.T < 0:
             raise ValueError("T must be >= 0")
         if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
+            raise ValueError(f"scheme must be one of {tuple(_SCHEMES)}, got {self.scheme!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -77,10 +82,14 @@ class EnergyReport:
     hs_norms: dict = field(default_factory=dict)
 
 
+def _phases(lam: np.ndarray, t: float) -> np.ndarray:
+    """The linear flow's factors e^{-i lam t} for the eigenvalues lam."""
+    return np.exp(-1j * lam * t)
+
+
 def linear_propagator(u: SpectralField, t: float) -> SpectralField:
     """Exact flow of i u_t = H u for time t."""
-    phases = np.exp(-1j * u.basis.lambda_sq * float(t))
-    return SpectralField(u.basis, u.coeffs * phases)
+    return SpectralField(u.basis, u.coeffs * _phases(u.basis.lambda_sq, float(t)))
 
 
 class _Workspace:
@@ -155,27 +164,34 @@ def nonlinear_phase_step(u: SpectralField, dt: float, coupling: float = 1.0) -> 
     return SpectralField(u.basis, c), defect
 
 
+def _step(c: np.ndarray, basis: HermiteBasis, scheme: str, phases: np.ndarray, dt: float,
+          coupling: float, work: _Workspace | None) -> float:
+    """One step of `scheme` on the coefficients c, in place, given the factors of its
+    linear substep, phases = _phases(lam, _SCHEMES[scheme] * dt); returns the relative
+    mass defect.  coupling = 0 skips the nonlinear substep and needs no workspace."""
+    c *= phases
+    defect = _nl_increment(c, basis, dt, coupling, work) if coupling != 0.0 else 0.0
+    if scheme == "strang":
+        c *= phases
+    return defect
+
+
+def _one_step(u: SpectralField, dt: float, scheme: str, coupling: float) -> tuple[SpectralField, float]:
+    c = u.coeffs.copy()
+    work = _Workspace(u.basis) if coupling != 0.0 else None
+    phases = _phases(u.basis.lambda_sq, _SCHEMES[scheme] * dt)
+    defect = _step(c, u.basis, scheme, phases, dt, coupling, work)
+    return SpectralField(u.basis, c), defect
+
+
 def strang_step(u: SpectralField, dt: float, cfg: SolverConfig) -> tuple[SpectralField, float]:
     """One symmetric step L(dt/2) N(dt) L(dt/2)."""
-    half = np.exp(-1j * u.basis.lambda_sq * (0.5 * dt))
-    c = u.coeffs * half
-    if cfg.coupling != 0.0:
-        defect = _nl_increment(c, u.basis, dt, cfg.coupling, _Workspace(u.basis))
-    else:
-        defect = 0.0
-    c *= half
-    return SpectralField(u.basis, c), defect
+    return _one_step(u, dt, "strang", cfg.coupling)
 
 
 def lie_step(u: SpectralField, dt: float, cfg: SolverConfig) -> tuple[SpectralField, float]:
     """One first-order step N(dt) L(dt)."""
-    full = np.exp(-1j * u.basis.lambda_sq * dt)
-    c = u.coeffs * full
-    if cfg.coupling != 0.0:
-        defect = _nl_increment(c, u.basis, dt, cfg.coupling, _Workspace(u.basis))
-    else:
-        defect = 0.0
-    return SpectralField(u.basis, c), defect
+    return _one_step(u, dt, "lie", cfg.coupling)
 
 
 def energy(u: SpectralField) -> float:
@@ -195,9 +211,7 @@ def modified_energy(u: SpectralField, spec: IOperatorSpec | None) -> float:
     """E(I u): the I-operator-dressed energy functional (spec = None means I = Id)."""
     if spec is None:
         return energy(u)
-    lam = np.sqrt(u.basis.lambda_sq.astype(float))
-    iu = SpectralField(u.basis, u.coeffs * i_multiplier(spec, lam))
-    return energy(iu)
+    return energy(apply_I(u, spec))
 
 
 def _report(u: SpectralField, t: float, ispec, s_values) -> EnergyReport:
@@ -219,7 +233,6 @@ def run_recorded(u0: SpectralField, cfg: SolverConfig, on_record) -> dict:
     drive_s then times those evaluations.
     """
     basis = u0.basis
-    lam = basis.lambda_sq
     n_steps = max(int(math.ceil(cfg.T / cfg.dt - 1e-12)), 0)
     if cfg.coupling == 0.0:
         record_times = [0.0]
@@ -235,30 +248,22 @@ def run_recorded(u0: SpectralField, cfg: SolverConfig, on_record) -> dict:
     work = _Workspace(basis)
     max_defect = 0.0
     t = 0.0
-    half = np.exp(-1j * lam * (0.5 * cfg.dt))
-    full = np.exp(-1j * lam * cfg.dt)
+    phases = _phases(basis.lambda_sq, _SCHEMES[cfg.scheme] * cfg.dt)
     t0 = time.perf_counter()
     for step in range(1, n_steps + 1):
         dt = cfg.dt
         t_next = step * cfg.dt
-        if t_next > cfg.T:
+        if t_next > cfg.T:  # the short last step
             dt = cfg.T - t
             t_next = cfg.T
-            half = np.exp(-1j * lam * (0.5 * dt))
-            full = np.exp(-1j * lam * dt)
-        if cfg.scheme == "strang":
-            c *= half
-            defect = _nl_increment(c, basis, dt, cfg.coupling, work)
-            c *= half
-        else:
-            c *= full
-            defect = _nl_increment(c, basis, dt, cfg.coupling, work)
+            phases = _phases(basis.lambda_sq, _SCHEMES[cfg.scheme] * dt)
+        defect = _step(c, basis, cfg.scheme, phases, dt, cfg.coupling, work)
         max_defect = max(max_defect, defect)
         t = t_next
         if step % cfg.record_every == 0 or step == n_steps:
             on_record(t, SpectralField(basis, c.copy()))
     drive_s = time.perf_counter() - t0
-    return _diagnostics(n_steps, max_defect, bool(max_defect > cfg.spill_tol), drive_s)
+    return _diagnostics(n_steps, max_defect, bool(max_defect > SPILL_TOL), drive_s)
 
 
 def _diagnostics(n_steps: int, max_defect: float, tainted: bool, drive_s: float) -> dict:

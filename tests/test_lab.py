@@ -37,6 +37,7 @@ from oscillab import (
     verify_identity_k1,
 )
 from oscillab import lab
+from oscillab.operators import _letter_image
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -204,6 +205,106 @@ def test_empty_word_reduction_bit_identical():
     assert a["normalization"] == b["normalization"]
 
 
+# The three ladder-letter copies lab carried before its letters went through the one
+# kernel in operators, unchanged but for their names: references for the bitwise tests.
+
+def _reference_grad_ext(coeffs, axis):
+    """Gradient along `axis` with the array grown by one degree on that axis."""
+    shape = list(coeffs.shape)
+    shape[axis] += 1
+    out = np.zeros(shape, dtype=coeffs.dtype)
+    w = np.moveaxis(out, axis, 0)
+    c = np.moveaxis(coeffs, axis, 0)
+    L = c.shape[0]
+    n = np.arange(L + 1, dtype=float)
+    bshape = (-1,) + (1,) * (c.ndim - 1)
+    w[: L - 1] += np.sqrt(n[1:L] / 2.0).reshape(bshape)[: L - 1] * c[1:]
+    w[1:] -= np.sqrt(n[1:] / 2.0).reshape(bshape) * c[:L]
+    return out
+
+
+def _reference_ladder_window(m0, c, letter):
+    """Apply one ladder letter to a windowed 1-D coefficient vector."""
+    lo = max(m0 - 1, 0)
+    hi = m0 + c.size  # top degree grows by one
+    out = np.zeros(hi - lo + 1, dtype=complex)
+    m_new = np.arange(lo, hi + 1)
+    idx_up = m_new + 1 - m0
+    ok = (idx_up >= 0) & (idx_up < c.size)
+    out[ok] += np.sqrt((m_new[ok] + 1) / 2.0) * c[idx_up[ok]]
+    idx_dn = m_new - 1 - m0
+    ok = (idx_dn >= 0) & (idx_dn < c.size)
+    down = np.sqrt(m_new[ok] / 2.0) * c[idx_dn[ok]]
+    if letter == "GRAD":
+        out[ok] -= down
+    else:
+        out[ok] += down
+    return lo, out
+
+
+def _reference_derivative_table(V, K_max):
+    """Rows h_k' = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}, k = 0..K_max."""
+    DV = np.zeros_like(V[: K_max + 1])
+    for k in range(K_max + 1):
+        DV[k] = -math.sqrt((k + 1) / 2.0) * V[k + 1]
+        if k >= 1:
+            DV[k] += math.sqrt(k / 2.0) * V[k - 1]
+    return DV
+
+
+def _signed_zero_field(rng, shape, complex_valued):
+    """Random coefficients with exact +0.0 and -0.0 entries sprinkled in."""
+    c = rng.standard_normal(shape)
+    if complex_valued:
+        c = c + 1j * rng.standard_normal(shape)
+    flat = c.reshape(-1)
+    flat[::3] = 0.0
+    flat[1::4] = -0.0
+    if complex_valued:
+        flat.imag[2::5] = -0.0
+    return c
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_letter_image_is_the_old_gradient_bitwise(d, complex_valued):
+    rng = np.random.default_rng(40 + d)
+    for n in (1, 2, 6):
+        c = _signed_zero_field(rng, (n + 1,) * d, complex_valued)
+        for axis in range(d):
+            start, image = _letter_image(c, "GRAD", axis)
+            want = _reference_grad_ext(c, axis)
+            assert start == 0
+            assert image.shape == want.shape and image.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("letter", ["GRAD", "X"])
+@pytest.mark.parametrize("m0", [0, 1, 2, 7, 40])
+def test_letter_image_is_the_old_ladder_window_bitwise(d, letter, m0):
+    # along `axis`, every fiber of the image is the old 1-D window letter of that fiber
+    rng = np.random.default_rng(100 * d + m0)
+    for axis in range(d):
+        for size in (1, 2, 9):
+            shape = [3] * d
+            shape[axis] = size
+            c = _signed_zero_field(rng, tuple(shape), True)
+            start, image = _letter_image(c, letter, axis, m0)
+            fibers = np.moveaxis(c, axis, -1).reshape(-1, size)
+            images = np.moveaxis(image, axis, -1).reshape(fibers.shape[0], -1)
+            for fiber, got in zip(fibers, images):
+                want_start, want = _reference_ladder_window(m0, fiber, letter)
+                assert start == want_start
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 4, 16, 24])
+def test_identity_scan_derivative_table_is_the_old_loop_bitwise(K):
+    V = HermiteBasis(1, K).values[: K + 2]
+    got = -_letter_image(V, "GRAD", 0)[1][: K + 1]
+    assert got.tobytes() == _reference_derivative_table(V, K).tobytes()
+
+
 def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed):
     """The dense trial loop: both factors on every node, complex products."""
     V = basis.values[: basis.K + 1]
@@ -215,10 +316,10 @@ def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed):
         rng = np.random.default_rng(np.random.SeedSequence((seed, N, M, trial)))
         u_axes, v_axes = lab._draw_packet_pair(rng, d, N, M, T, K_draw)
         for axis in range(d):
-            for letter in lab._axis_word_letters(word_a, axis):
-                u_axes[axis] = lab._ladder_window(*u_axes[axis], letter)
-            for letter in lab._axis_word_letters(word_b, axis):
-                v_axes[axis] = lab._ladder_window(*v_axes[axis], letter)
+            for letter in [letter for letter, ax in word_a.letters if ax - 1 == axis]:
+                u_axes[axis] = _reference_ladder_window(*u_axes[axis], letter)
+            for letter in [letter for letter, ax in word_b.letters if ax - 1 == axis]:
+                v_axes[axis] = _reference_ladder_window(*v_axes[axis], letter)
         prof = np.ones_like(tg)
         for (m0u, cu), (m0v, cv) in zip(u_axes, v_axes):
             mv = np.arange(m0v, m0v + cv.size)

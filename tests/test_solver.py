@@ -201,6 +201,42 @@ def test_lie_is_first_order():
     assert 1.7 < e1 / e2 < 2.3
 
 
+@pytest.mark.parametrize("scheme,step_fn", [("strang", strang_step), ("lie", lie_step)])
+@pytest.mark.parametrize("T", [0.05, 0.0537])  # 0.0537 ends on a short step of 0.0037
+def test_step_wrappers_match_run_recorded_bitwise(scheme, step_fn, T):
+    basis = HermiteBasis(2, 8)
+    u0 = _packet(basis, seed=16, scale=1.0)
+    cfg = SolverConfig(dt=0.01, T=T, scheme=scheme, record_every=10**9)
+    records = []
+    diag = run_recorded(u0, cfg, lambda t, u: records.append((t, u.coeffs)))
+    u, t, defects = u0, 0.0, []
+    for step in range(1, diag["n_steps"] + 1):  # run_recorded's clock, step by step
+        dt, t_next = cfg.dt, step * cfg.dt
+        if t_next > cfg.T:
+            dt, t_next = cfg.T - t, cfg.T
+        u, defect = step_fn(u, dt, cfg)
+        defects.append(defect)
+        t = t_next
+    assert diag["n_steps"] == math.ceil(T / cfg.dt - 1e-12)
+    assert records[-1][0] == t == T
+    assert records[-1][1].tobytes() == u.coeffs.tobytes()
+    assert diag["max_step_defect"] == max(defects)
+
+
+def test_step_wrappers_with_zero_coupling_are_the_linear_substeps():
+    basis = HermiteBasis(2, 6)
+    u0 = _packet(basis, seed=17)
+    cfg = SolverConfig(dt=0.03, T=1.0, coupling=0.0)
+    half = np.exp(-1j * basis.lambda_sq * (0.5 * cfg.dt))
+    u, defect = strang_step(u0, cfg.dt, cfg)
+    assert defect == 0.0
+    assert u.coeffs.tobytes() == (u0.coeffs * half * half).tobytes()
+    u, defect = lie_step(u0, cfg.dt, cfg)
+    assert defect == 0.0
+    assert u.coeffs.tobytes() == (u0.coeffs * np.exp(-1j * basis.lambda_sq * cfg.dt)).tobytes()
+    assert "rule" not in vars(basis)  # no workspace, so the grid is never built
+
+
 def test_modified_energy_reduces_to_energy():
     basis = HermiteBasis(1, 12)
     u = _packet(basis, seed=8)
