@@ -571,8 +571,14 @@ def _run_energy_increment(resolved: dict, threads: int) -> DriverResult:
     incs = [res["increments"][N] for N in sorted(Ns)]
     strictly_decreasing = all(a > b for a, b in zip(incs, incs[1:]))
     fit = res["fit"]
+    floor = res["energy_drift_floor"]
     summary = {
         "increments": {str(N): float(res["increments"][N]) for N in Ns},
+        "energy_drift_floor": floor,
+        "increment_over_floor": {
+            str(N): res["increments"][N] / floor if floor > 0 else float("nan") for N in Ns
+        },
+        "above_floor": sum(res["increments"][N] > floor for N in Ns),
         "strictly_decreasing": strictly_decreasing,
         "alpha": -fit.slope if fit is not None else float("nan"),
         "fit": _fit_summary(fit),

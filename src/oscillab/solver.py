@@ -6,9 +6,13 @@ propagation is exact.  The nonlinear substep is evaluated in increment form
     v = synthesize(c);   theta = dt g |v|^2;   c <- c + Proj[(e^{-i theta} - 1) v]
 
 with the raw dual (Galerkin) projection, which integrates the O(dt) cubic term
-exactly on the built-in rule.  The phase factor is formed as
-e^{-i theta} - 1 = -2 sin^2(theta/2) - i sin(theta): the same two transcendental
-calls as a complex exp, without the cancellation of cos(theta) - 1 at small theta.
+exactly on the built-in rule.  The phase factor e^{-i theta} - 1 =
+(cos theta - 1) - i sin theta is formed in one of two ways, chosen per step by one
+max over the grid.  When every theta is at most _THETA_SERIES = 2^-10 (every preset
+stays below it) it is a short even/odd Taylor form with no transcendental call,
+exact to roundoff there.  Otherwise it is -2 sin^2(theta/2) - i sin(theta): two sin
+calls, without the cancellation of cos(theta) - 1 at small theta.  The largest
+theta of a run is reported as its max_theta, which tells which form it took.
 The whole substep runs on real planes (real and imaginary parts, see
 hermite._contract_planes) in buffers of a workspace that each run owns: two real
 GEMMs per axis, the phase in place, and no allocation per step.  Two consequences
@@ -52,6 +56,9 @@ __all__ = [
 # each scheme's linear substep, as a fraction of dt: L(dt/2) N(dt) L(dt/2) or N(dt) L(dt)
 _SCHEMES = {"strang": 0.5, "lie": 1.0}
 SPILL_TOL = 1e-8  # largest relative mass defect per step of an untainted run
+# largest theta of the phase's Taylor form: its first dropped terms, theta^7/5040 and
+# theta^8/40320, stay below 2^-53 relative to sin and cos - 1 (2e-22 and 4e-23 here)
+_THETA_SERIES = 2.0 ** -10
 
 
 @dataclass(frozen=True)
@@ -109,46 +116,65 @@ class _Workspace:
         self.tmp = np.empty((Q,) * d)
 
 
-def _phase_increment(vr, vi, scale: float, theta, sin, tmp) -> None:
+def _phase_increment(vr, vi, scale: float, theta, sin, tmp) -> float:
     """Overwrite the planes (vr, vi) of v with those of (e^{-i theta} - 1) v,
-    theta = scale |v|^2, through the fused factor -2 sin^2(theta/2) - i sin(theta).
+    theta = scale |v|^2; returns the largest theta.
 
-    The factor costs the same two transcendental calls as a complex exp but has no
-    cancellation in cos(theta) - 1 at small theta.  theta, sin and tmp are scratch
-    arrays of the planes' shape.
+    When that max is at most _THETA_SERIES the factor is the Taylor form
+    sin theta = theta - theta^3/6 + theta^5/120 and
+    cos theta - 1 = theta^2 (-1/2 + theta^2/24 - theta^4/720), with no
+    transcendental call; the first dropped terms are below 2^-53 relative.
+    Otherwise it is -2 sin^2(theta/2) - i sin(theta), which has no cancellation in
+    cos(theta) - 1 at small theta.  theta, sin and tmp are scratch arrays of the
+    planes' shape.
     """
     np.multiply(vr, vr, out=theta)
     np.multiply(vi, vi, out=tmp)
     theta += tmp
     theta *= scale
-    np.sin(theta, out=sin)
-    theta *= 0.5
-    np.sin(theta, out=theta)
-    np.square(theta, out=theta)
-    theta *= -2.0  # cos(theta) - 1
+    theta_max = float(theta.max())
+    if theta_max <= _THETA_SERIES:
+        np.square(theta, out=tmp)
+        np.multiply(tmp, 1.0 / 120.0, out=sin)
+        sin -= 1.0 / 6.0
+        sin *= tmp
+        sin *= theta
+        sin += theta
+        np.multiply(tmp, -1.0 / 720.0, out=theta)
+        theta += 1.0 / 24.0
+        theta *= tmp
+        theta -= 0.5
+        theta *= tmp  # cos(theta) - 1
+    else:
+        np.sin(theta, out=sin)
+        theta *= 0.5
+        np.sin(theta, out=theta)
+        np.square(theta, out=theta)
+        theta *= -2.0  # cos(theta) - 1
     np.multiply(sin, vi, out=tmp)
     sin *= vr
     vr *= theta
     vr += tmp
     vi *= theta
     vi -= sin
+    return theta_max
 
 
 def _nl_increment(coeffs: np.ndarray, basis: HermiteBasis, dt: float, coupling: float,
-                  work: _Workspace) -> float:
+                  work: _Workspace) -> tuple[float, float]:
     """In-place nonlinear phase increment c += Proj[(e^{-i theta} - 1) v], computed
-    in the buffers of `work`; returns the relative mass defect."""
+    in the buffers of `work`; returns (relative mass defect, largest theta)."""
     np.copyto(work.coef[0], coeffs.real)
     np.copyto(work.coef[1], coeffs.imag)
     v = _contract_planes(work.coef, basis._synthesis_matrix, work.synth)
-    _phase_increment(v[0], v[1], dt * coupling, work.theta, work.sin, work.tmp)
+    theta_max = _phase_increment(v[0], v[1], dt * coupling, work.theta, work.sin, work.tmp)
     inc = _contract_planes(v, basis._dual_matrix, work.proj)
     before = float(np.vdot(coeffs, coeffs).real)
     re, im = coeffs.real, coeffs.imag
     np.add(re, inc[0], out=re)
     np.add(im, inc[1], out=im)
     after = float(np.vdot(coeffs, coeffs).real)
-    return abs(after - before) / max(before, 1e-300)
+    return abs(after - before) / max(before, 1e-300), theta_max
 
 
 def nonlinear_phase_step(u: SpectralField, dt: float, coupling: float = 1.0) -> tuple[SpectralField, float]:
@@ -160,27 +186,28 @@ def nonlinear_phase_step(u: SpectralField, dt: float, coupling: float = 1.0) -> 
     if coupling == 0.0:
         return u.copy(), 0.0
     c = u.coeffs.copy()
-    defect = _nl_increment(c, u.basis, dt, coupling, _Workspace(u.basis))
+    defect, _ = _nl_increment(c, u.basis, dt, coupling, _Workspace(u.basis))
     return SpectralField(u.basis, c), defect
 
 
 def _step(c: np.ndarray, basis: HermiteBasis, scheme: str, phases: np.ndarray, dt: float,
-          coupling: float, work: _Workspace | None) -> float:
+          coupling: float, work: _Workspace | None) -> tuple[float, float]:
     """One step of `scheme` on the coefficients c, in place, given the factors of its
-    linear substep, phases = _phases(lam, _SCHEMES[scheme] * dt); returns the relative
-    mass defect.  coupling = 0 skips the nonlinear substep and needs no workspace."""
+    linear substep, phases = _phases(lam, _SCHEMES[scheme] * dt); returns (relative
+    mass defect, largest theta).  coupling = 0 skips the nonlinear substep and needs
+    no workspace."""
     c *= phases
-    defect = _nl_increment(c, basis, dt, coupling, work) if coupling != 0.0 else 0.0
+    out = _nl_increment(c, basis, dt, coupling, work) if coupling != 0.0 else (0.0, 0.0)
     if scheme == "strang":
         c *= phases
-    return defect
+    return out
 
 
 def _one_step(u: SpectralField, dt: float, scheme: str, coupling: float) -> tuple[SpectralField, float]:
     c = u.coeffs.copy()
     work = _Workspace(u.basis) if coupling != 0.0 else None
     phases = _phases(u.basis.lambda_sq, _SCHEMES[scheme] * dt)
-    defect = _step(c, u.basis, scheme, phases, dt, coupling, work)
+    defect, _ = _step(c, u.basis, scheme, phases, dt, coupling, work)
     return SpectralField(u.basis, c), defect
 
 
@@ -226,7 +253,9 @@ def run_recorded(u0: SpectralField, cfg: SolverConfig, on_record) -> dict:
     """Drive the configured scheme, invoking on_record(t, field) at t = 0, every
     cfg.record_every steps, and at t = T.  Returns the run diagnostics:
     n_steps, max_step_defect, tainted, and the telemetry drive_s (seconds spent in
-    the stepping loop, records included) and steps_per_s = n_steps / drive_s.
+    the stepping loop, records included), steps_per_s = n_steps / drive_s and
+    max_theta, the largest nonlinear phase dt g |v|^2 of the run (it tells which
+    form of the phase factor the steps took, see _phase_increment).
 
     With coupling = 0 the exact diagonal propagator is evaluated directly at the
     record times (no stepping, no grid), so the linear flow is reproduced exactly;
@@ -242,11 +271,11 @@ def run_recorded(u0: SpectralField, cfg: SolverConfig, on_record) -> dict:
         t0 = time.perf_counter()
         for t_rec in record_times:
             on_record(t_rec, linear_propagator(u0, t_rec))
-        return _diagnostics(n_steps, 0.0, False, time.perf_counter() - t0)
+        return _diagnostics(n_steps, 0.0, False, time.perf_counter() - t0, 0.0)
     c = u0.coeffs.copy()
     on_record(0.0, SpectralField(basis, c.copy()))
     work = _Workspace(basis)
-    max_defect = 0.0
+    max_defect = max_theta = 0.0
     t = 0.0
     phases = _phases(basis.lambda_sq, _SCHEMES[cfg.scheme] * cfg.dt)
     t0 = time.perf_counter()
@@ -257,22 +286,25 @@ def run_recorded(u0: SpectralField, cfg: SolverConfig, on_record) -> dict:
             dt = cfg.T - t
             t_next = cfg.T
             phases = _phases(basis.lambda_sq, _SCHEMES[cfg.scheme] * dt)
-        defect = _step(c, basis, cfg.scheme, phases, dt, cfg.coupling, work)
+        defect, theta = _step(c, basis, cfg.scheme, phases, dt, cfg.coupling, work)
         max_defect = max(max_defect, defect)
+        max_theta = max(max_theta, theta)
         t = t_next
         if step % cfg.record_every == 0 or step == n_steps:
             on_record(t, SpectralField(basis, c.copy()))
     drive_s = time.perf_counter() - t0
-    return _diagnostics(n_steps, max_defect, bool(max_defect > SPILL_TOL), drive_s)
+    return _diagnostics(n_steps, max_defect, bool(max_defect > SPILL_TOL), drive_s, max_theta)
 
 
-def _diagnostics(n_steps: int, max_defect: float, tainted: bool, drive_s: float) -> dict:
+def _diagnostics(n_steps: int, max_defect: float, tainted: bool, drive_s: float,
+                 max_theta: float) -> dict:
     return {
         "n_steps": n_steps,
         "max_step_defect": max_defect,
         "tainted": tainted,
         "drive_s": drive_s,
         "steps_per_s": n_steps / drive_s if drive_s > 0 else 0.0,
+        "max_theta": max_theta,
     }
 
 

@@ -260,6 +260,20 @@ def test_conservation_csv_columns(tmp_path):
     assert diag["steps_per_s"] == pytest.approx(diag["n_steps"] / diag["drive_s"])
 
 
+def test_energy_increment_summary_reports_floor(tmp_path):
+    text = ("experiment = energy_increment\nd = 1\nK = 16\nN_list = [2, 4]\n"
+            "dt = 0.001\nT = 0.05\nseed = 3\n")
+    out = tmp_path / "e"
+    assert main(["run", _write(tmp_path, text), "--output-dir", str(out)]) == 0
+    assert (out / "results.csv").read_text().splitlines()[0] == "N,sup_increment"
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    floor, incs = summary["energy_drift_floor"], summary["increments"]
+    assert floor > 0.0
+    assert summary["increment_over_floor"] == {N: v / floor for N, v in incs.items()}
+    assert summary["above_floor"] == sum(v > floor for v in incs.values())
+    assert 0.0 < summary["diagnostics"]["max_theta"] <= 2.0 ** -10
+
+
 def test_run_api_returns_exit_code(tmp_path):
     cfg = parse_config(FAST_IDENTITY)
     code = run(cfg, output_dir=str(tmp_path / "api"), threads=1)

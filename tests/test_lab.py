@@ -27,6 +27,7 @@ from oscillab import (
     bilinear_min_K,
     bilinear_strichartz_ratio,
     derivative_bilinear_ratio,
+    energy,
     energy_increment_scan,
     fit_power_law,
     identity_residual_scan_1d,
@@ -34,6 +35,7 @@ from oscillab import (
     quad_L0,
     quad_L1_plus_weight,
     random_shell_field,
+    run_recorded,
     verify_identity_k1,
 )
 from oscillab import lab
@@ -408,6 +410,26 @@ def test_energy_increment_scan_smoke():
     assert all(v >= 0.0 for v in out["increments"].values())
     assert out["n_records"] >= 2
     assert "tainted" in out["diagnostics"]
+
+
+@pytest.mark.parametrize("coupling", [0.0, 1.0])
+def test_energy_drift_floor_is_the_unmodified_energy_drift(coupling):
+    # with coupling = 0 the exact linear flow conserves only the quadratic part
+    # of E, so the floor is the quartic part's drift, not zero
+    basis = HermiteBasis(2, 12)
+    rng = np.random.default_rng(2)
+    c = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
+    c *= np.exp(-basis.lambda_sq / 4.0)
+    c *= 0.5 / np.linalg.norm(c)
+    u0 = SpectralField(basis, c)
+    cfg = SolverConfig(dt=1e-3, T=0.05, record_every=10, coupling=coupling)
+    out = energy_increment_scan(u0, 1.5, [2, 64], cfg)
+    energies = []
+    run_recorded(u0, cfg, lambda t, u: energies.append(energy(u)))
+    floor = out["energy_drift_floor"]
+    assert floor == max(abs(e - energies[0]) for e in energies) > 0.0
+    assert out["increments"][64] == floor  # I_64 is the identity on this basis
+    assert set(out["increments"]) == {2, 64}
 
 
 def test_norm_growth_experiment_smoke():

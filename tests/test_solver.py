@@ -31,7 +31,7 @@ from oscillab import (
     run_recorded,
     strang_step,
 )
-from oscillab.solver import _nl_increment, _phase_increment, _Workspace
+from oscillab.solver import _THETA_SERIES, _nl_increment, _phase_increment, _Workspace
 
 
 def _packet(basis, seed=0, scale=0.5):
@@ -108,35 +108,100 @@ def test_nonlinear_phase_step_zero_coupling_noop():
     assert np.array_equal(v.coeffs, u.coeffs)
 
 
-def test_fused_phase_factor_within_4_ulp():
+def _reference_phase_increment(vr, vi, scale, theta, sin, tmp):
+    """The two-sin form of the phase factor, kept as it stood before the guarded
+    Taylor form: the fallback branch must give its bytes."""
+    np.multiply(vr, vr, out=theta)
+    np.multiply(vi, vi, out=tmp)
+    theta += tmp
+    theta *= scale
+    np.sin(theta, out=sin)
+    theta *= 0.5
+    np.sin(theta, out=theta)
+    np.square(theta, out=theta)
+    theta *= -2.0  # cos(theta) - 1
+    np.multiply(sin, vi, out=tmp)
+    sin *= vr
+    vr *= theta
+    vr += tmp
+    vi *= theta
+    vi -= sin
+
+
+def _assert_phase_within_4_ulp(theta_wanted):
     # v = sqrt(theta) on the real axis, so the increment planes are
     # ((cos theta - 1) v, -sin(theta) v); the reference is evaluated at the
-    # theta the helper itself forms, fl(v^2)
+    # theta the helper itself forms, fl(v^2).  Returns the helper's max theta.
     mpmath = pytest.importorskip("mpmath")
-    vr = np.sqrt(np.logspace(-12, 0, 241))
+    vr = np.sqrt(theta_wanted)
     theta = vr * vr
     gr, gi = vr.copy(), np.zeros_like(vr)
-    _phase_increment(gr, gi, 1.0, *(np.empty_like(vr) for _ in range(3)))
+    theta_max = _phase_increment(gr, gi, 1.0, *(np.empty_like(vr) for _ in range(3)))
+    assert theta_max == theta.max()
     with mpmath.workdps(50):
         for i in range(vr.size):
             th, x = mpmath.mpf(float(theta[i])), mpmath.mpf(float(vr[i]))
             for got, want in ((gr[i], (mpmath.cos(th) - 1) * x), (gi[i], -mpmath.sin(th) * x)):
                 want = float(want)
                 assert abs(got - want) <= 4 * np.spacing(abs(want)), (theta[i], got, want)
+    return theta_max
 
 
-def test_nl_increment_allocates_nothing_per_step():
+def test_fused_phase_factor_within_4_ulp():
+    # theta up to 1: the two-sin fallback
+    assert _assert_phase_within_4_ulp(np.logspace(-12, 0, 241)) > _THETA_SERIES
+
+
+def test_series_phase_factor_within_4_ulp():
+    # theta up to the guard constant itself: the Taylor form
+    theta = np.append(np.logspace(-12, math.log10(_THETA_SERIES), 241), _THETA_SERIES)
+    assert _assert_phase_within_4_ulp(theta) == _THETA_SERIES
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_phase_fallback_is_the_two_sin_form_bitwise(d):
+    # one theta just above the guard constant sends the whole array to the
+    # fallback; on the real axis (every other point) the Taylor form's last bit
+    # often differs from the two-sin form's
+    shape = (33,) * d
+    r = np.sqrt(np.logspace(-12, 0, 33**d)).reshape(shape)  # |v|^2 = 1 at the end
+    phi = np.random.default_rng(18).uniform(0.0, 2.0 * math.pi, shape)
+    phi.flat[1::2] = 0.0
+    vr, vi = r * np.cos(phi), r * np.sin(phi)
+    vr.flat[-1], vi.flat[-1] = 1.0, 0.0
+    scale = np.nextafter(_THETA_SERIES, 1.0)
+    got, want = (vr.copy(), vi.copy()), (vr.copy(), vi.copy())
+    theta_max = _phase_increment(*got, scale, *(np.empty(shape) for _ in range(3)))
+    _reference_phase_increment(*want, scale, *(np.empty(shape) for _ in range(3)))
+    assert theta_max == scale > _THETA_SERIES
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def _increment_peak_bytes(coupling):
     basis = HermiteBasis(2, 64)
     c = _packet(basis, seed=13).coeffs
     work = _Workspace(basis)
-    _nl_increment(c, basis, 1e-4, 1.0, work)
+    _, theta_max = _nl_increment(c, basis, 1e-4, coupling, work)
     tracemalloc.start()
     try:
         for _ in range(20):
-            _nl_increment(c, basis, 1e-4, 1.0, work)
+            _nl_increment(c, basis, 1e-4, coupling, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return theta_max, peak
+
+
+def test_nl_increment_allocates_nothing_per_step():
+    theta_max, peak = _increment_peak_bytes(1.0)
+    assert theta_max <= _THETA_SERIES  # the Taylor form
+    assert peak < 16 * 1024
+
+
+def test_nl_increment_allocates_nothing_per_step_on_fallback():
+    theta_max, peak = _increment_peak_bytes(1e4)
+    assert theta_max > _THETA_SERIES  # the two-sin form
     assert peak < 16 * 1024
 
 
@@ -252,7 +317,7 @@ def test_run_recorded_linear_branch_exact():
     seen = []
     diag = run_recorded(u0, cfg, lambda t, u: seen.append((t, u)))
     telemetry = {k: diag.pop(k) for k in ("drive_s", "steps_per_s")}
-    assert diag == {"n_steps": 30, "max_step_defect": 0.0, "tainted": False}
+    assert diag == {"n_steps": 30, "max_step_defect": 0.0, "tainted": False, "max_theta": 0.0}
     assert telemetry["drive_s"] > 0.0
     assert telemetry["steps_per_s"] == 30 / telemetry["drive_s"]
     times = [t for t, _ in seen]
@@ -272,6 +337,7 @@ def test_run_recorded_cadence_and_endpoint():
     assert times[-1] == pytest.approx(0.25)
     assert times[1] == pytest.approx(0.07)
     assert not diag["tainted"]
+    assert diag["max_theta"] > 0.0
 
 
 def test_evolve_reports_conserved_mass():
