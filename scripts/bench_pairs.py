@@ -20,11 +20,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 30  # length of every run, the same on both sides and in every BENCH file
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     lines = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout.splitlines()
     run, result = json.loads(lines[-2]), json.loads(lines[-1])
     metrics = {k: m["value"] for k, m in result.pop("metrics").items()}
@@ -37,7 +38,6 @@ def main() -> None:
     p.add_argument("--base", required=True, help="commit to compare the working tree against")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=int, nargs=2, required=True, metavar=("FIRST", "LAST"))
-    p.add_argument("--seconds", type=float, default=30.0)
     args = p.parse_args()
     if args.seeds[1] <= args.seeds[0]:
         p.error("--seeds needs at least two seeds, FIRST < LAST")
@@ -51,7 +51,7 @@ def main() -> None:
         try:
             for i, seed in enumerate(range(args.seeds[0], args.seeds[1] + 1)):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                runs = {side: bench(tree if side == "base" else ROOT, args.workload, seed, args.seconds)
+                runs = {side: bench(tree if side == "base" else ROOT, args.workload, seed)
                         for side in order}
                 env = runs["change"].pop("environment")
                 runs["base"].pop("environment")
@@ -69,7 +69,7 @@ def main() -> None:
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("workloads", {})[args.workload] = {
-        "base": base_sha, "seconds": args.seconds, "pairs": pairs, "summary": summary, "environment": env}
+        "base": base_sha, "seconds": SECONDS, "pairs": pairs, "summary": summary, "environment": env}
     out.write_text(json.dumps(doc, indent=1) + "\n")
 
 

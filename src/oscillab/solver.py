@@ -8,11 +8,11 @@ propagation is exact.  The nonlinear substep is evaluated in increment form
 with the raw dual (Galerkin) projection, which integrates the O(dt) cubic term
 exactly on the built-in rule.  The phase factor e^{-i theta} - 1 =
 (cos theta - 1) - i sin theta is formed in one of two ways, chosen per step by one
-max over the grid.  When every theta is at most _THETA_SERIES = 2^-10 (every preset
+max over the grid.  When every |theta| is at most _THETA_SERIES = 2^-10 (every preset
 stays below it) it is a short even/odd Taylor form with no transcendental call,
 exact to roundoff there.  Otherwise it is -2 sin^2(theta/2) - i sin(theta): two sin
 calls, without the cancellation of cos(theta) - 1 at small theta.  The largest
-theta of a run is reported as its max_theta, which tells which form it took.
+|theta| of a run is reported as its max_theta, which tells which form it took.
 The whole substep runs on real planes (real and imaginary parts, see
 hermite._contract_planes) in buffers of a workspace that each run owns: two real
 GEMMs per axis, the phase in place, and no allocation per step.  Two consequences
@@ -56,7 +56,7 @@ __all__ = [
 # each scheme's linear substep, as a fraction of dt: L(dt/2) N(dt) L(dt/2) or N(dt) L(dt)
 _SCHEMES = {"strang": 0.5, "lie": 1.0}
 SPILL_TOL = 1e-8  # largest relative mass defect per step of an untainted run
-# largest theta of the phase's Taylor form: its first dropped terms, theta^7/5040 and
+# largest |theta| of the phase's Taylor form: its first dropped terms, theta^7/5040 and
 # theta^8/40320, stay below 2^-53 relative to sin and cos - 1 (2e-22 and 4e-23 here)
 _THETA_SERIES = 2.0 ** -10
 
@@ -118,7 +118,7 @@ class _Workspace:
 
 def _phase_increment(vr, vi, scale: float, theta, sin, tmp) -> float:
     """Overwrite the planes (vr, vi) of v with those of (e^{-i theta} - 1) v,
-    theta = scale |v|^2; returns the largest theta.
+    theta = scale |v|^2; returns the largest |theta|.
 
     When that max is at most _THETA_SERIES the factor is the Taylor form
     sin theta = theta - theta^3/6 + theta^5/120 and
@@ -131,8 +131,10 @@ def _phase_increment(vr, vi, scale: float, theta, sin, tmp) -> float:
     np.multiply(vr, vr, out=theta)
     np.multiply(vi, vi, out=tmp)
     theta += tmp
+    # the guard bounds |theta|, for either sign of the coupling; with scale > 0
+    # it equals fl(theta).max() bit for bit, since rounding is monotone
+    theta_max = abs(scale) * float(theta.max())
     theta *= scale
-    theta_max = float(theta.max())
     if theta_max <= _THETA_SERIES:
         np.square(theta, out=tmp)
         np.multiply(tmp, 1.0 / 120.0, out=sin)
@@ -163,7 +165,7 @@ def _phase_increment(vr, vi, scale: float, theta, sin, tmp) -> float:
 def _nl_increment(coeffs: np.ndarray, basis: HermiteBasis, dt: float, coupling: float,
                   work: _Workspace) -> tuple[float, float]:
     """In-place nonlinear phase increment c += Proj[(e^{-i theta} - 1) v], computed
-    in the buffers of `work`; returns (relative mass defect, largest theta)."""
+    in the buffers of `work`; returns (relative mass defect, largest |theta|)."""
     np.copyto(work.coef[0], coeffs.real)
     np.copyto(work.coef[1], coeffs.imag)
     v = _contract_planes(work.coef, basis._synthesis_matrix, work.synth)
@@ -194,7 +196,7 @@ def _step(c: np.ndarray, basis: HermiteBasis, scheme: str, phases: np.ndarray, d
           coupling: float, work: _Workspace | None) -> tuple[float, float]:
     """One step of `scheme` on the coefficients c, in place, given the factors of its
     linear substep, phases = _phases(lam, _SCHEMES[scheme] * dt); returns (relative
-    mass defect, largest theta).  coupling = 0 skips the nonlinear substep and needs
+    mass defect, largest |theta|).  coupling = 0 skips the nonlinear substep and needs
     no workspace."""
     c *= phases
     out = _nl_increment(c, basis, dt, coupling, work) if coupling != 0.0 else (0.0, 0.0)
@@ -254,7 +256,7 @@ def run_recorded(u0: SpectralField, cfg: SolverConfig, on_record) -> dict:
     cfg.record_every steps, and at t = T.  Returns the run diagnostics:
     n_steps, max_step_defect, tainted, and the telemetry drive_s (seconds spent in
     the stepping loop, records included), steps_per_s = n_steps / drive_s and
-    max_theta, the largest nonlinear phase dt g |v|^2 of the run (it tells which
+    max_theta, the largest nonlinear phase |dt g| |v|^2 of the run (it tells which
     form of the phase factor the steps took, see _phase_increment).
 
     With coupling = 0 the exact diagonal propagator is evaluated directly at the

@@ -128,16 +128,17 @@ def _reference_phase_increment(vr, vi, scale, theta, sin, tmp):
     vi -= sin
 
 
-def _assert_phase_within_4_ulp(theta_wanted):
-    # v = sqrt(theta) on the real axis, so the increment planes are
-    # ((cos theta - 1) v, -sin(theta) v); the reference is evaluated at the
-    # theta the helper itself forms, fl(v^2).  Returns the helper's max theta.
+def _assert_phase_within_4_ulp(theta_wanted, sign=1.0):
+    # v = sqrt(|theta|) on the real axis and scale = sign = +-1, so the increment
+    # planes are ((cos theta - 1) v, -sin(theta) v); the reference is evaluated at
+    # the theta the helper itself forms, sign fl(v^2).  Returns the helper's max
+    # |theta|.
     mpmath = pytest.importorskip("mpmath")
     vr = np.sqrt(theta_wanted)
-    theta = vr * vr
+    theta = sign * (vr * vr)
     gr, gi = vr.copy(), np.zeros_like(vr)
-    theta_max = _phase_increment(gr, gi, 1.0, *(np.empty_like(vr) for _ in range(3)))
-    assert theta_max == theta.max()
+    theta_max = _phase_increment(gr, gi, sign, *(np.empty_like(vr) for _ in range(3)))
+    assert theta_max == np.abs(theta).max()
     with mpmath.workdps(50):
         for i in range(vr.size):
             th, x = mpmath.mpf(float(theta[i])), mpmath.mpf(float(vr[i]))
@@ -152,28 +153,37 @@ def test_fused_phase_factor_within_4_ulp():
     assert _assert_phase_within_4_ulp(np.logspace(-12, 0, 241)) > _THETA_SERIES
 
 
-def test_series_phase_factor_within_4_ulp():
-    # theta up to the guard constant itself: the Taylor form
+def test_fallback_phase_factor_within_4_ulp_negative_coupling():
+    # theta down to -5 (a focusing coupling): the guard bounds |theta|, so the
+    # two-sin fallback, which is exact for either sign
+    theta = np.logspace(-12, math.log10(5.0), 241)
+    assert _assert_phase_within_4_ulp(theta, sign=-1.0) > _THETA_SERIES
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_series_phase_factor_within_4_ulp(sign):
+    # |theta| up to the guard constant itself: the Taylor form
     theta = np.append(np.logspace(-12, math.log10(_THETA_SERIES), 241), _THETA_SERIES)
-    assert _assert_phase_within_4_ulp(theta) == _THETA_SERIES
+    assert _assert_phase_within_4_ulp(theta, sign) == _THETA_SERIES
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("d", [1, 2])
-def test_phase_fallback_is_the_two_sin_form_bitwise(d):
-    # one theta just above the guard constant sends the whole array to the
-    # fallback; on the real axis (every other point) the Taylor form's last bit
-    # often differs from the two-sin form's
+def test_phase_fallback_is_the_two_sin_form_bitwise(d, sign):
+    # one |theta| just above the guard constant, of either sign, sends the whole
+    # array to the fallback; on the real axis (every other point) the Taylor
+    # form's last bit often differs from the two-sin form's
     shape = (33,) * d
     r = np.sqrt(np.logspace(-12, 0, 33**d)).reshape(shape)  # |v|^2 = 1 at the end
     phi = np.random.default_rng(18).uniform(0.0, 2.0 * math.pi, shape)
     phi.flat[1::2] = 0.0
     vr, vi = r * np.cos(phi), r * np.sin(phi)
     vr.flat[-1], vi.flat[-1] = 1.0, 0.0
-    scale = np.nextafter(_THETA_SERIES, 1.0)
+    scale = sign * np.nextafter(_THETA_SERIES, 1.0)
     got, want = (vr.copy(), vi.copy()), (vr.copy(), vi.copy())
     theta_max = _phase_increment(*got, scale, *(np.empty(shape) for _ in range(3)))
     _reference_phase_increment(*want, scale, *(np.empty(shape) for _ in range(3)))
-    assert theta_max == scale > _THETA_SERIES
+    assert theta_max == abs(scale) > _THETA_SERIES
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
 
