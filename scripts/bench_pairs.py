@@ -3,19 +3,26 @@
     python3 scripts/bench_pairs.py --out BENCH_6.json --base HEAD~1 \
         --workload increment-d2 --seeds 901 910
 
-Checks out --base in a git worktree under a temporary directory and runs
+Exports --base with `git archive` into a temporary directory and runs
 `python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0` on it and
 on the working tree, one pair per seed: the same seed on both sides, the order
 swapped every pair.  For each end-to-end metric of BENCHMARK.json the file gets
-every pair's values, each side's quartiles (q1, median, q3) and the pairs the
-change won.  An existing --out file keeps its other workloads.
+every pair's values, each side's quartiles (q1, median, q3), the pairs the change
+won and `clears_spread`: the change won at least 9 in 10 of the pairs and the
+medians differ by more than the base's q3 - q1.  The summary's `runs` gives each
+side's `correct` (every run correct) and its `failed` and `attempted` operations.
+The script exits 1 when a run is not correct or when the change fails a larger
+share of its operations than the base.  An existing --out file keeps its other
+workloads.
 """
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -44,33 +51,47 @@ def main() -> None:
     better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     base_sha = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, check=True,
                               capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", base_sha], cwd=ROOT, check=True,
+                             capture_output=True).stdout
     pairs = []
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--quiet", "--detach", str(tree), base_sha], cwd=ROOT, check=True)
-        try:
-            for i, seed in enumerate(range(args.seeds[0], args.seeds[1] + 1)):
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                runs = {side: bench(tree if side == "base" else ROOT, args.workload, seed)
-                        for side in order}
-                env = runs["change"].pop("environment")
-                runs["base"].pop("environment")
-                pairs.append({"seed": seed, "first": order[0], **runs})
-                print(json.dumps(pairs[-1]), file=sys.stderr)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=True)
-    summary = {}
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree)
+        for i, seed in enumerate(range(args.seeds[0], args.seeds[1] + 1)):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            pair = {side: bench(tree if side == "base" else ROOT, args.workload, seed)
+                    for side in order}
+            env = pair["change"].pop("environment")
+            pair["base"].pop("environment")
+            pairs.append({"seed": seed, "first": order[0], **pair})
+            print(json.dumps(pairs[-1]), file=sys.stderr)
+    runs = {side: {"correct": all(pr[side]["correct"] for pr in pairs),
+                   "failed": sum(pr[side]["failed"] for pr in pairs),
+                   "attempted": sum(pr[side]["attempted"] for pr in pairs)}
+            for side in ("base", "change")}
+    summary = {"runs": runs}
     for name, direction in better.items():
         vals = {side: [pr[side]["metrics"][name] for pr in pairs] for side in ("base", "change")}
         sign = 1 if direction == "higher" else -1
-        summary[name] = {**{side: dict(zip(("q1", "median", "q3"), statistics.quantiles(v, n=4)))
-                            for side, v in vals.items()},
-                         "change_wins": sum(sign * (c - b) > 0 for b, c in zip(vals["base"], vals["change"]))}
+        quart = {side: dict(zip(("q1", "median", "q3"), statistics.quantiles(v, n=4)))
+                 for side, v in vals.items()}
+        wins = sum(sign * (c - b) > 0 for b, c in zip(vals["base"], vals["change"]))
+        gap = sign * (quart["change"]["median"] - quart["base"]["median"])
+        summary[name] = {**quart, "change_wins": wins,
+                         "clears_spread": 10 * wins >= 9 * len(pairs)
+                         and gap > quart["base"]["q3"] - quart["base"]["q1"]}
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("workloads", {})[args.workload] = {
         "base": base_sha, "seconds": SECONDS, "pairs": pairs, "summary": summary, "environment": env}
     out.write_text(json.dumps(doc, indent=1) + "\n")
+    base, change = runs["base"], runs["change"]
+    if not (base["correct"] and change["correct"]):
+        sys.exit("error: a run is not correct")
+    if change["failed"] * base["attempted"] > base["failed"] * change["attempted"]:
+        sys.exit(f"error: the change fails {change['failed']}/{change['attempted']} operations, "
+                 f"the base {base['failed']}/{base['attempted']}")
 
 
 if __name__ == "__main__":

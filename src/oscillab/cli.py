@@ -36,10 +36,12 @@ import numpy as np
 
 from . import __version__
 from .hermite import HermiteBasis, MultiIndex, SpectralField
-from .operators import IOperatorSpec, PWord, apply_I, bernstein_ratio, sobolev_norm
+from .operators import (IOperatorSpec, PWord, apply_I, bernstein_draws, bernstein_ratio,
+                        sobolev_norm)
 from .solver import SolverConfig, evolve
 from .lab import (
     QuadTuple,
+    _quad_terms,
     almost_orthogonality_scan,
     bilinear_min_K,
     derivative_bilinear_ratio,
@@ -47,8 +49,6 @@ from .lab import (
     fit_power_law,
     identity_residual_scan_1d,
     norm_growth_experiment,
-    quad_L0,
-    quad_L1_plus_weight,
 )
 
 __all__ = [
@@ -124,6 +124,21 @@ def _as_int_list(key, v):
     return out
 
 
+def _as_output_dir(key, v):
+    if not isinstance(v, str) or not v:
+        raise ConfigError(key, f"{key} must be a non-empty string")
+    return v
+
+
+# the checks of the optional keys, run in this order
+_CHECKS = {
+    "d": partial(_as_int, lo=1, hi=3), "K": partial(_as_int, lo=1),
+    "s": partial(_as_float, positive=True), "dt": partial(_as_float, positive=True),
+    "T": partial(_as_float, positive=True), "trials": partial(_as_int, lo=1),
+    "N_list": _as_int_list, "M_list": _as_int_list, "output_dir": _as_output_dir,
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse UTF-8 config text (JSON object or key=value lines) and validate it."""
     if text.lstrip().startswith("{"):
@@ -172,26 +187,9 @@ def _config_from_dict(data: dict, raw_text: str) -> ExperimentConfig:
         "seed": _as_int("seed", data["seed"], lo=0),
         "raw_text": raw_text,
     }
-    if "d" in data:
-        kwargs["d"] = _as_int("d", data["d"], lo=1, hi=3)
-    if "K" in data:
-        kwargs["K"] = _as_int("K", data["K"], lo=1)
-    if "s" in data:
-        kwargs["s"] = _as_float("s", data["s"], positive=True)
-    if "dt" in data:
-        kwargs["dt"] = _as_float("dt", data["dt"], positive=True)
-    if "T" in data:
-        kwargs["T"] = _as_float("T", data["T"], positive=True)
-    if "trials" in data:
-        kwargs["trials"] = _as_int("trials", data["trials"], lo=1)
-    if "N_list" in data:
-        kwargs["N_list"] = _as_int_list("N_list", data["N_list"])
-    if "M_list" in data:
-        kwargs["M_list"] = _as_int_list("M_list", data["M_list"])
-    if "output_dir" in data:
-        if not isinstance(data["output_dir"], str) or not data["output_dir"]:
-            raise ConfigError("output_dir", "output_dir must be a non-empty string")
-        kwargs["output_dir"] = data["output_dir"]
+    for key, check in _CHECKS.items():
+        if key in data:
+            kwargs[key] = check(key, data[key])
     return ExperimentConfig(**kwargs)
 
 
@@ -377,10 +375,9 @@ def _run_identity_k1(resolved: dict, threads: int) -> DriverResult:
         modes = [tuple(int(x) for x in rng.integers(0, K + 1, size=d)) for _ in range(4)]
         qt = QuadTuple.from_modes(basis, *modes)
         denom = qt.mu_sq_1 - qt.mu_sq_2 - qt.mu_sq_3 - qt.mu_sq_4
-        L0 = quad_L0(qt)
+        L0, L1, Lx = _quad_terms(qt)
         if denom == 0:
             return [*qt.mu_sqs, L0, float("nan"), float("nan"), True]
-        L1, Lx = quad_L1_plus_weight(qt)
         rhs = -2.0 * (L1 + Lx) / denom
         residual = abs(L0 - rhs) / (abs(L0) + 1e-30)
         return [*qt.mu_sqs, L0, rhs, residual, False]
@@ -498,10 +495,11 @@ def _run_bernstein(resolved: dict, threads: int) -> DriverResult:
     basis = HermiteBasis(d, K)  # ladder algebra only; quadrature tables stay unbuilt
     words = _all_words_up_to_order2(d)
     cells = [(label, word, int(N)) for (label, word) in words for N in N_list]
+    draws = {N: bernstein_draws(basis, N, trials, seed) for N in {N for _, _, N in cells}}
 
     def cell(args):
         _, word, N = args
-        return bernstein_ratio(basis, word, N, trials, seed)
+        return bernstein_ratio(basis, word, N, trials, seed, draws[N])
 
     ratios = _map_cells(cell, cells, threads)
     columns = ["N", "word", "ratio"]
@@ -514,10 +512,7 @@ def _run_bernstein(resolved: dict, threads: int) -> DriverResult:
         if len(Ns) >= 2:
             entry["top_over_prev"] = by_N[Ns[-1]] / by_N[Ns[-2]]
         per_word[label] = entry
-    window_sizes = {}
-    lsq = basis.lambda_sq
-    for N in Ns:
-        window_sizes[str(N)] = int(((4 * lsq > N * N) & (lsq < 2 * N * N)).sum())
+    window_sizes = {str(N): int(draws[N][0].sum()) for N in Ns}
     summary = {
         "per_word": per_word,
         "max_top_over_prev": max(
@@ -593,12 +588,8 @@ def _run_energy_increment(resolved: dict, threads: int) -> DriverResult:
     derived = {
         "delta_by_N": delta_by_N,
         "record_every": _INC_RECORD_EVERY,
-        "datum": {
-            "body_decay": _INC_BODY_DECAY,
-            "body_degree_cut": _INC_BODY_DEG_CUT,
-            "ring_amplitude": _INC_RING_AMP,
-            "ring_degree": int(2 * K),
-        },
+        "datum": {"body_decay": _INC_BODY_DECAY, "body_degree_cut": _INC_BODY_DEG_CUT,
+                  "ring_amplitude": _INC_RING_AMP, "ring_degree": int(2 * K)},
         "Q": 2 * K + 2,
     }
     taints = ["solver_spillage"] if res["diagnostics"]["tainted"] else []
@@ -633,18 +624,12 @@ def _run_norm_growth(resolved: dict, threads: int) -> DriverResult:
         "diagnostics_nonlinear": res["nonlinear"]["diagnostics"],
         "diagnostics_linear": res["linear"]["diagnostics"],
     }
-    taints = []
-    if res["nonlinear"]["diagnostics"]["tainted"]:
-        taints.append("solver_spillage_nonlinear")
-    if res["linear"]["diagnostics"]["tainted"]:
-        taints.append("solver_spillage_linear")
+    taints = [f"solver_spillage_{b}" for b in ("nonlinear", "linear")
+              if res[b]["diagnostics"]["tainted"]]
     derived = {
         "record_every": _GROWTH_RECORD_EVERY,
-        "datum": {
-            "body_decay": _GROWTH_BODY_DECAY,
-            "degree_cut": _GROWTH_DEG_CUT,
-            "hs_norm": _GROWTH_HS_NORM,
-        },
+        "datum": {"body_decay": _GROWTH_BODY_DECAY, "degree_cut": _GROWTH_DEG_CUT,
+                  "hs_norm": _GROWTH_HS_NORM},
         "Q": 2 * K + 2,
     }
     return DriverResult(columns, rows, summary, derived, taints, {})
@@ -681,11 +666,7 @@ def _run_conservation(resolved: dict, threads: int) -> DriverResult:
     }
     derived = {
         "record_every": _CONS_RECORD_EVERY,
-        "datum": {
-            "body_decay": _CONS_BODY_DECAY,
-            "degree_cut": _CONS_DEG_CUT,
-            "mass": _CONS_MASS,
-        },
+        "datum": {"body_decay": _CONS_BODY_DECAY, "degree_cut": _CONS_DEG_CUT, "mass": _CONS_MASS},
         "Q": 2 * K + 2,
     }
     taints = ["solver_spillage"] if diagnostics["tainted"] else []

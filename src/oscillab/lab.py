@@ -22,7 +22,7 @@ real-table products as real GEMMs on the interleaved view of the complex data.
 
 Every ladder letter here -- the gradients of the k = 1 identity, its 1-D derivative
 table and the words on the bilinear factors -- goes through the one kernel of
-operators (operators._letter_image); lab holds no ladder coefficient of its own.
+operators (operators._apply_letter); lab holds no ladder coefficient of its own.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .hermite import HermiteBasis, MultiIndex, SpectralField
-from .operators import IOperatorSpec, PWord, _letter_image, i_multiplier, sobolev_norm
+from .hermite import HermiteBasis, MultiIndex, SpectralField, _contract_planes, _pass_buffers
+from .operators import (IOperatorSpec, PWord, _apply_letter, _letter_image, i_multiplier,
+                        sobolev_norm)
 from .solver import SolverConfig, energy, run_recorded
 
 __all__ = [
@@ -147,15 +148,6 @@ def random_shell_field(basis: HermiteBasis, mu_sq: int, rng) -> SpectralField:
     return SpectralField(basis, coeffs)
 
 
-def _synth_real(coeffs: np.ndarray, basis: HermiteBasis) -> np.ndarray:
-    """Synthesize real coefficients (degree may exceed K up to K_eval) onto the grid."""
-    out = coeffs
-    for _ in range(coeffs.ndim):
-        out = np.tensordot(basis.values[: out.shape[0]], out, axes=(0, 0))
-        out = np.moveaxis(out, 0, -1)
-    return out
-
-
 def _folded_rule_sum(integrand: np.ndarray, basis: HermiteBasis) -> float:
     """Quadrature sum folded over the exact node mirror symmetry of each axis.
 
@@ -173,11 +165,41 @@ def _folded_rule_sum(integrand: np.ndarray, basis: HermiteBasis) -> float:
     return float(np.sum(G))
 
 
+def _quad_terms(qt: QuadTuple, gradients: bool = True) -> tuple[float, float, float]:
+    """(L0, L1, Lx) of the tuple (see quad_L0 and quad_L1_plus_weight).
+
+    The four fields and their 4 d gradients, zero-padded to degree K + 1 on every
+    axis, are stacked as real planes and synthesized by one _contract_planes call.
+    With gradients=False only the four fields are synthesized and L1 = Lx = 0.0.
+    """
+    basis = qt.e1.basis
+    d, n = basis.d, basis.K + 2
+    x = np.zeros((4 * (1 + d) if gradients else 4,) + (n,) * d)
+    for plane, e in zip(x, qt.fields):
+        plane[(slice(0, n - 1),) * d] = e.coeffs.real
+    if gradients:
+        tmp = np.empty_like(x[:4])
+        for ax in range(d):  # planes 4 (ax + 1) .. 4 (ax + 2) - 1: d/dx_ax of the fields
+            _apply_letter(x[:4], x[4 * (ax + 1):4 * (ax + 2)], tmp, "GRAD", ax + 1)
+    table = np.ascontiguousarray(basis.values[:n].T)
+    g = _contract_planes(x, table, _pass_buffers(d, n, basis.rule.size, x.shape[0]))
+    L0 = _folded_rule_sum(g[0] * g[1] * g[2] * g[3], basis)
+    if not gradients:
+        return L0, 0.0, 0.0
+    L1 = 0.0
+    for (a, b), (c_, d_) in (((1, 2), (0, 3)), ((1, 3), (0, 2)), ((2, 3), (0, 1))):
+        dot = sum(g[4 * (ax + 1) + a] * g[4 * (ax + 1) + b] for ax in range(d))
+        L1 += _folded_rule_sum(dot * g[c_] * g[d_], basis)
+    xsq = nodes_sq = basis.rule.nodes ** 2
+    for _ in range(d - 1):
+        xsq = np.add.outer(xsq, nodes_sq)
+    Lx = _folded_rule_sum(xsq * g[0] * g[1] * g[2] * g[3], basis)
+    return L0, L1, Lx
+
+
 def quad_L0(qt: QuadTuple) -> float:
     """L0 = int e1 e2 e3 e4 dx, exact on the basis rule (degree <= 4K < 2Q-1)."""
-    basis = qt.e1.basis
-    vals = [_synth_real(e.coeffs.real, basis) for e in qt.fields]
-    return _folded_rule_sum(vals[0] * vals[1] * vals[2] * vals[3], basis)
+    return _quad_terms(qt, gradients=False)[0]
 
 
 def quad_L1_plus_weight(qt: QuadTuple) -> tuple[float, float]:
@@ -187,24 +209,7 @@ def quad_L1_plus_weight(qt: QuadTuple) -> tuple[float, float]:
                   + grad e3 . grad e4 (e1 e2)]
         Lx = int |x|^2 e1 e2 e3 e4.
     """
-    basis = qt.e1.basis
-    d = basis.d
-    vals = [_synth_real(e.coeffs.real, basis) for e in qt.fields]
-    grads = []
-    for e in qt.fields:
-        grads.append([
-            _synth_real(_letter_image(e.coeffs.real, "GRAD", ax)[1], basis) for ax in range(d)
-        ])
-    L1 = 0.0
-    for (a, b), (c_, d_) in (((1, 2), (0, 3)), ((1, 3), (0, 2)), ((2, 3), (0, 1))):
-        dot = sum(grads[a][ax] * grads[b][ax] for ax in range(d))
-        L1 += _folded_rule_sum(dot * vals[c_] * vals[d_], basis)
-    nodes_sq = basis.rule.nodes ** 2
-    xsq = nodes_sq
-    for _ in range(d - 1):
-        xsq = np.add.outer(xsq, nodes_sq)
-    Lx = _folded_rule_sum(xsq * vals[0] * vals[1] * vals[2] * vals[3], basis)
-    return L1, Lx
+    return _quad_terms(qt)[1:]
 
 
 def verify_identity_k1(qt: QuadTuple, eps: float = 1e-30) -> float:
@@ -219,8 +224,7 @@ def verify_identity_k1(qt: QuadTuple, eps: float = 1e-30) -> float:
         raise ResonantTupleError(
             f"resonant tuple: mu^2 = {qt.mu_sqs} (denominator vanishes)"
         )
-    L0 = quad_L0(qt)
-    L1, Lx = quad_L1_plus_weight(qt)
+    L0, L1, Lx = _quad_terms(qt)
     rhs = -2.0 * (L1 + Lx) / denom
     return abs(L0 - rhs) / (abs(L0) + eps)
 
@@ -230,8 +234,8 @@ def identity_residual_scan_1d(K_max: int) -> dict:
 
     Fully vectorized: builds the quadrilinear tensors with einsum over the half
     grid and applies the exact parity factor (1 + (-1)^{a+b+c+d}), so odd tuples
-    are exactly zero on both sides.  Returns per-tuple L0, rhs, residuals and the
-    resonance mask (resonant tuples carry residual NaN and are excluded).
+    are exactly zero on both sides.  Returns per-tuple L0, Lx, rhs, residuals and
+    the resonance mask (resonant tuples carry residual NaN and are excluded).
     """
     basis = HermiteBasis(1, K_max)
     Q = basis.rule.size
@@ -262,6 +266,7 @@ def identity_residual_scan_1d(K_max: int) -> dict:
     residual[resonant] = np.nan
     return {
         "L0": L0,
+        "Lx": Lx,
         "rhs": rhs,
         "residual": residual,
         "resonant": resonant,
@@ -529,7 +534,7 @@ def energy_increment_scan(u0: SpectralField, s: float, N_list, cfg: SolverConfig
     def on_record(t, u_t):
         times.append(t)
         for N, mult in mults.items():
-            e_val = energy(SpectralField(basis, u_t.coeffs * mult))
+            e_val = energy(SpectralField(basis, u_t.coeffs * mult), cfg.coupling)
             if N not in base_e:
                 base_e[N] = e_val
             else:

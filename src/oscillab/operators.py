@@ -44,6 +44,7 @@ __all__ = [
     "i_multiplier",
     "apply_I",
     "apply_I_inverse",
+    "bernstein_draws",
     "bernstein_ratio",
 ]
 
@@ -280,44 +281,57 @@ def apply_I_inverse(u: SpectralField, spec: IOperatorSpec) -> SpectralField:
 # Bernstein-type operator bound on dyadic windows
 # ---------------------------------------------------------------------------
 
-def bernstein_ratio(basis: HermiteBasis, word: PWord, N: int, trials: int, seed: int) -> float:
-    """max over trial fields u supported in the Delta_N window of ||P u|| / (N^ord ||u||).
+def bernstein_draws(basis: HermiteBasis, N: int, trials: int, seed: int):
+    """The trial fields of bernstein_ratio, which do not depend on the word.
 
-    The first two trials are the extreme window modes (top and bottom eigenvalue),
-    the rest are random complex Gaussian fields on the window.  Trials live on the
-    window's coefficient box padded by the word order (see the module docstring).
+    Returns (the Delta_N window as a mask on its coefficient box, [(coefficients on the
+    window, their norm) per trial]), all read-only.  The first two trials are the
+    extreme window modes (top and bottom eigenvalue), the rest random complex Gaussian
+    fields on the window.
     """
     N = _check_dyadic(N)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    d = basis.d
-    n = min(basis.K, (2 * N * N - d - 1) // 2) + 1  # 2|m| + d < 2 N^2 bounds every m_j
-    lsq = eigenvalue_box(d, n)
+    n = min(basis.K, (2 * N * N - basis.d - 1) // 2) + 1  # 2|m| + d < 2 N^2 bounds every m_j
+    lsq = eigenvalue_box(basis.d, n)
     window = (4 * lsq > N * N) & (lsq < 2 * N * N)
     n_window = int(window.sum())
     if n_window == 0:
         raise ValueError(f"Delta_{N} window contains no modes at K = {basis.K}")
-    if word.order == 0:
-        return 1.0
-    modes = np.argwhere(window)  # lexicographic, the order of the full basis
-    lam = lsq[window]
-    work = np.zeros((n + word.order,) * d, dtype=complex)
-    out, tmp = np.empty_like(work), np.empty_like(work)
-    box = (slice(0, n),) * d
-    scale = float(N) ** word.order
-    ratios = []
+    lam = lsq[window]  # lexicographic, the order of the full basis
+    fields = []
     for trial in range(trials):
-        work.fill(0.0)
         if trial == 0 or (trial == 1 and n_window > 1):
-            pick = np.argmax(lam) if trial == 0 else np.argmin(lam)
-            work[tuple(modes[pick])] = 1.0
-            u_norm = 1.0
+            c = np.zeros(n_window)
+            c[np.argmax(lam) if trial == 0 else np.argmin(lam)] = 1.0
         else:
             rng = np.random.default_rng(np.random.SeedSequence((seed, N, trial)))
             z = rng.standard_normal(n_window) + 1j * rng.standard_normal(n_window)
             c = z / np.linalg.norm(z)
-            work[box][window] = c
-            u_norm = float(np.linalg.norm(c))
+        c.flags.writeable = False
+        fields.append((c, float(np.linalg.norm(c))))
+    window.flags.writeable = False
+    return window, fields
+
+
+def bernstein_ratio(basis: HermiteBasis, word: PWord, N: int, trials: int, seed: int,
+                    draws=None) -> float:
+    """max over trial fields u supported in the Delta_N window of ||P u|| / (N^ord ||u||).
+
+    The trials are `draws`, by default bernstein_draws(basis, N, trials, seed); the words
+    of one N may share one set.  They live on the window's coefficient box padded by the
+    word order (see the module docstring).
+    """
+    window, fields = draws if draws is not None else bernstein_draws(basis, N, trials, seed)
+    if word.order == 0:
+        return 1.0
+    n, d = window.shape[0], window.ndim
+    work = np.zeros((n + word.order,) * d, dtype=complex)
+    out, tmp = np.empty_like(work), np.empty_like(work)
+    ratios = []
+    for c, u_norm in fields:
+        work.fill(0.0)
+        work[(slice(0, n),) * d][window] = c
         image = _apply_word(work, word, out, tmp)
-        ratios.append(math.sqrt(np.vdot(image, image).real) / (scale * u_norm))
+        ratios.append(math.sqrt(np.vdot(image, image).real) / (float(N) ** word.order * u_norm))
     return max(ratios)

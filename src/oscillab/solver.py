@@ -223,8 +223,9 @@ def lie_step(u: SpectralField, dt: float, cfg: SolverConfig) -> tuple[SpectralFi
     return _one_step(u, dt, "lie", cfg.coupling)
 
 
-def energy(u: SpectralField) -> float:
-    """E(u) = 1/2 (||grad u||^2 + ||x u||^2) + 1/4 ||u||_{L^4}^4 (conserved by the flow).
+def energy(u: SpectralField, coupling: float = 1.0) -> float:
+    """E(u) = 1/2 (||grad u||^2 + ||x u||^2) + g/4 ||u||_{L^4}^4, conserved by the flow
+    of coupling g.
 
     The quadratic part is 1/2 <H u, u> = 1/2 sum (2|m|+d) |c_m|^2 (exact identity);
     the quartic part is integrated exactly on the basis rule.
@@ -233,20 +234,18 @@ def energy(u: SpectralField) -> float:
     quad = 0.5 * float(np.sum(lam * (u.coeffs.real ** 2 + u.coeffs.imag ** 2)))
     v = synthesize(u)
     quart = float(u.basis.rule.integrate((v.real ** 2 + v.imag ** 2) ** 2).real)
-    return quad + 0.25 * quart
+    return quad + 0.25 * coupling * quart
 
 
-def modified_energy(u: SpectralField, spec: IOperatorSpec | None) -> float:
+def modified_energy(u: SpectralField, spec: IOperatorSpec | None, coupling: float = 1.0) -> float:
     """E(I u): the I-operator-dressed energy functional (spec = None means I = Id)."""
-    if spec is None:
-        return energy(u)
-    return energy(apply_I(u, spec))
+    return energy(u if spec is None else apply_I(u, spec), coupling)
 
 
-def _report(u: SpectralField, t: float, ispec, s_values) -> EnergyReport:
+def _report(u: SpectralField, t: float, ispec, s_values, coupling: float) -> EnergyReport:
     mass = float(np.vdot(u.coeffs, u.coeffs).real)
-    e = energy(u)
-    me = modified_energy(u, ispec) if ispec is not None else e
+    e = energy(u, coupling)
+    me = modified_energy(u, ispec, coupling) if ispec is not None else e
     hs = {float(s): sobolev_norm(u, float(s)) for s in s_values}
     return EnergyReport(t=t, mass=mass, energy=e, modified_energy=me, hs_norms=hs)
 
@@ -323,7 +322,7 @@ def evolve(
     reports: list[EnergyReport] = []
 
     def on_record(t, u_t):
-        reports.append(_report(u_t, t, ispec, s_values))
+        reports.append(_report(u_t, t, ispec, s_values, cfg.coupling))
 
     diagnostics = run_recorded(u0, cfg, on_record)
     return reports, diagnostics

@@ -213,6 +213,17 @@ def test_threads_do_not_change_bytes(tmp_path):
     ).read_bytes()
 
 
+def test_sampled_identity_threads_do_not_change_bytes(tmp_path):
+    # d = 2 tuples: every cell synthesizes its own plane stack in its own buffers
+    text = "experiment = identity_k1\nd = 2\nK = 8\ntrials = 24\nseed = 5\n"
+    cfg_path = _write(tmp_path, text)
+    main(["run", cfg_path, "--output-dir", str(tmp_path / "t1"), "--threads", "1"])
+    main(["run", cfg_path, "--output-dir", str(tmp_path / "t2"), "--threads", "2"])
+    assert (tmp_path / "t1" / "results.csv").read_bytes() == (
+        tmp_path / "t2" / "results.csv"
+    ).read_bytes()
+
+
 def test_seed_override_recorded(tmp_path):
     cfg_path = _write(tmp_path, FAST_IDENTITY)
     out = tmp_path / "o"

@@ -9,11 +9,14 @@ L0 = -2 (L1 + Lx) / (-2) = L1 + Lx.  The bilinear ground-pair norm over
 [0, pi] is sqrt(pi) (2 pi)^{-1/4}.
 """
 
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oscillab import (
@@ -414,8 +417,8 @@ def test_energy_increment_scan_smoke():
 
 @pytest.mark.parametrize("coupling", [0.0, 1.0])
 def test_energy_drift_floor_is_the_unmodified_energy_drift(coupling):
-    # with coupling = 0 the exact linear flow conserves only the quadratic part
-    # of E, so the floor is the quartic part's drift, not zero
+    # the floor is the drift of E at the run's own coupling; with coupling = 0, E is
+    # the quadratic part alone, which the exact linear flow conserves up to roundoff
     basis = HermiteBasis(2, 12)
     rng = np.random.default_rng(2)
     c = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
@@ -425,9 +428,13 @@ def test_energy_drift_floor_is_the_unmodified_energy_drift(coupling):
     cfg = SolverConfig(dt=1e-3, T=0.05, record_every=10, coupling=coupling)
     out = energy_increment_scan(u0, 1.5, [2, 64], cfg)
     energies = []
-    run_recorded(u0, cfg, lambda t, u: energies.append(energy(u)))
+    run_recorded(u0, cfg, lambda t, u: energies.append(energy(u, coupling)))
     floor = out["energy_drift_floor"]
-    assert floor == max(abs(e - energies[0]) for e in energies) > 0.0
+    assert floor == max(abs(e - energies[0]) for e in energies)
+    if coupling == 0.0:
+        assert floor <= 1e-14 * energies[0]
+    else:
+        assert floor > 1e-12 * energies[0]  # the splitting error, well above roundoff
     assert out["increments"][64] == floor  # I_64 is the identity on this basis
     assert set(out["increments"]) == {2, 64}
 
@@ -450,3 +457,80 @@ def test_norm_growth_experiment_smoke():
     lin = out["linear"]["hs_norms"]
     assert_allclose(lin, lin[0], rtol=1e-12)
     assert abs(out["linear"]["fit"].slope) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The stacked quadrilinear terms
+# ---------------------------------------------------------------------------
+
+_SCAN_K = 5
+
+
+@functools.cache
+def _scan_1d():
+    return identity_residual_scan_1d(_SCAN_K)
+
+
+def _tuple_modes(d):
+    mode = st.tuples(*[st.integers(min_value=0, max_value=_SCAN_K)] * d)
+    return st.tuples(mode, mode, mode, mode)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("d", [2, 3])
+def test_quad_terms_factorize_over_axes(d, data):
+    # a single-mode tuple is a product over axes of 1-D tuples:
+    # L0 = prod_j L0_j and Lx = sum_j Lx_j prod_{k != j} L0_k
+    modes = data.draw(_tuple_modes(d))
+    scan = _scan_1d()
+    per_axis = [tuple(m[ax] for m in modes) for ax in range(d)]
+    L0_ax = [scan["L0"][t] for t in per_axis]
+    Lx_ax = [scan["Lx"][t] for t in per_axis]
+    want_L0 = math.prod(L0_ax)
+    want_Lx = sum(Lx_ax[j] * math.prod(L0_ax[:j] + L0_ax[j + 1:]) for j in range(d))
+    L0, _, Lx = lab._quad_terms(QuadTuple.from_modes(HermiteBasis(d, _SCAN_K), *modes))
+    assert L0 == pytest.approx(want_L0, rel=1e-13, abs=1e-18)
+    assert Lx == pytest.approx(want_Lx, rel=1e-13, abs=1e-18)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("d", [2, 3])
+def test_quad_terms_single_axis_odd_tuple_is_exact_zero(d, data):
+    modes = [list(m) for m in data.draw(_tuple_modes(d))]
+    axis = data.draw(st.integers(min_value=0, max_value=d - 1))
+    if sum(m[axis] for m in modes) % 2 == 0:  # make the degree sum on `axis` odd
+        modes[0][axis] += 1 if modes[0][axis] < _SCAN_K else -1
+    qt = QuadTuple.from_modes(HermiteBasis(d, _SCAN_K), *modes)
+    assert lab._quad_terms(qt) == (0.0, 0.0, 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), K=st.integers(min_value=1, max_value=8))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quad_L0_is_the_first_quad_term_bitwise(d, K, data):
+    mode = st.tuples(*[st.integers(min_value=0, max_value=K)] * d)
+    modes = data.draw(st.tuples(mode, mode, mode, mode))
+    qt = QuadTuple.from_modes(HermiteBasis(d, K), *modes)
+    L0, L1, Lx = lab._quad_terms(qt)
+    assert quad_L0(qt) == L0
+    assert quad_L1_plus_weight(qt) == (L1, Lx)
+
+
+def test_quad_terms_shell_fields_match_mode_sums():
+    # random real shell fields: L0 is linear in each field, so it is the coefficient-
+    # weighted sum of single-mode L0s
+    basis = HermiteBasis(2, 4)
+    rng = np.random.default_rng(12)
+    fields = [random_shell_field(basis, mu, rng) for mu in (8, 6, 4, 6)]
+    qt = QuadTuple(*fields, 8, 6, 4, 6)
+    want = 0.0
+    supports = [np.argwhere(e.coeffs.real != 0.0) for e in fields]
+    for m1 in supports[0]:
+        for m2 in supports[1]:
+            for m3 in supports[2]:
+                for m4 in supports[3]:
+                    c = math.prod(e.coeffs.real[tuple(m)] for e, m in zip(fields, (m1, m2, m3, m4)))
+                    want += c * quad_L0(QuadTuple.from_modes(basis, m1, m2, m3, m4))
+    assert lab._quad_terms(qt)[0] == pytest.approx(want, rel=1e-12, abs=1e-16)

@@ -31,7 +31,7 @@ from oscillab import (
     project_pi_mu,
     sobolev_norm,
 )
-from oscillab.operators import _apply_word
+from oscillab.operators import _apply_word, bernstein_draws
 
 
 def _random_field(basis, seed, top_margin=0):
@@ -375,6 +375,54 @@ def test_apply_P_and_commutator_bitwise_equal_reference(d):
             (got, got_spill), (want, want_spill) = fn(u, word), ref(u, word)
             assert got.coeffs.tobytes() == want.coeffs.tobytes(), (fn.__name__, word)
             assert got_spill == want_spill
+
+
+def _reference_bernstein_box_ratio(basis, word, N, trials, seed):
+    """The window-box bernstein_ratio before the draws were shared: every call draws."""
+    d = basis.d
+    n = min(basis.K, (2 * N * N - d - 1) // 2) + 1
+    grids = np.meshgrid(*[np.arange(n)] * d, indexing="ij")
+    lsq = (2 * sum(grids) + d).astype(np.int64)
+    window = (4 * lsq > N * N) & (lsq < 2 * N * N)
+    n_window = int(window.sum())
+    if word.order == 0:
+        return 1.0
+    modes = np.argwhere(window)
+    lam = lsq[window]
+    work = np.zeros((n + word.order,) * d, dtype=complex)
+    out, tmp = np.empty_like(work), np.empty_like(work)
+    ratios = []
+    for trial in range(trials):
+        work.fill(0.0)
+        if trial == 0 or (trial == 1 and n_window > 1):
+            pick = np.argmax(lam) if trial == 0 else np.argmin(lam)
+            work[tuple(modes[pick])] = 1.0
+            u_norm = 1.0
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, N, trial)))
+            z = rng.standard_normal(n_window) + 1j * rng.standard_normal(n_window)
+            c = z / np.linalg.norm(z)
+            work[(slice(0, n),) * d][window] = c
+            u_norm = float(np.linalg.norm(c))
+        image = _apply_word(work, word, out, tmp)
+        ratios.append(math.sqrt(np.vdot(image, image).real) / (float(N) ** word.order * u_norm))
+    return max(ratios)
+
+
+@pytest.mark.parametrize("d,N", [(d, N) for d in (1, 2, 3) for N in (2, 4, 8) if d + N < 11])
+def test_bernstein_shared_draws_give_the_per_word_ratios_bitwise(d, N):
+    basis = HermiteBasis(d, (2 * N * N - d - 1) // 2 + 1)
+    words = _words_up_to_order2(d)
+    draws = bernstein_draws(basis, N, trials=5, seed=17)
+    shared = [bernstein_ratio(basis, w, N, 5, 17, draws) for w in words]
+    fresh = [bernstein_ratio(basis, w, N, 5, 17) for w in words]
+    reference = [_reference_bernstein_box_ratio(basis, w, N, 5, 17) for w in words]
+    assert np.array(shared).tobytes() == np.array(fresh).tobytes()
+    assert np.array(shared).tobytes() == np.array(reference).tobytes()
+    window, fields = draws
+    for array in [window] + [c for c, _ in fields]:
+        with pytest.raises(ValueError):  # read-only: threads share them
+            array.flat[0] = 0
 
 
 def test_bernstein_cell_memory_is_the_window_box():

@@ -320,6 +320,24 @@ def test_modified_energy_reduces_to_energy():
     assert modified_energy(u, spec) == pytest.approx(energy(u), rel=1e-15)
 
 
+@pytest.mark.parametrize("coupling", [0.0, 3.0, -2.0])
+def test_evolve_reports_the_energy_of_its_coupling(coupling):
+    # E_g = quadratic part + g/4 quartic part is what the flow of coupling g conserves;
+    # the coupling-1 energy drifts along that flow by the O(1e-3) quartic change
+    basis = HermiteBasis(2, 12)
+    u0 = _packet(basis, seed=11, scale=0.8)
+    quad, quart = energy(u0, 0.0), energy(u0, 1.0) - energy(u0, 0.0)
+    assert energy(u0, coupling) == pytest.approx(quad + coupling * quart, rel=1e-14)
+    cfg = SolverConfig(dt=0.005, T=0.5, record_every=20, coupling=coupling)
+    reports, _ = evolve(u0, cfg, ispec=IOperatorSpec(N=2, s=1.5))
+    assert reports[0].energy == energy(u0, coupling)
+    assert max(abs(r.energy - reports[0].energy) for r in reports) < 2e-5  # splitting error
+    assert max(abs(r.modified_energy - reports[0].modified_energy) for r in reports) > 0.0
+    e1 = []
+    run_recorded(u0, cfg, lambda t, u: e1.append(energy(u)))
+    assert max(abs(e - e1[0]) for e in e1) > 1e-3
+
+
 def test_run_recorded_linear_branch_exact():
     basis = HermiteBasis(1, 12)
     u0 = _packet(basis, seed=9)
