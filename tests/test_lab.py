@@ -488,10 +488,13 @@ def test_quad_terms_factorize_over_axes(d, data):
     L0_ax = [scan["L0"][t] for t in per_axis]
     Lx_ax = [scan["Lx"][t] for t in per_axis]
     want_L0 = math.prod(L0_ax)
-    want_Lx = sum(Lx_ax[j] * math.prod(L0_ax[:j] + L0_ax[j + 1:]) for j in range(d))
+    terms = [Lx_ax[j] * math.prod(L0_ax[:j] + L0_ax[j + 1:]) for j in range(d)]
+    want_Lx = sum(terms)
     L0, _, Lx = lab._quad_terms(QuadTuple.from_modes(HermiteBasis(d, _SCAN_K), *modes))
     assert L0 == pytest.approx(want_L0, rel=1e-13, abs=1e-18)
-    assert Lx == pytest.approx(want_Lx, rel=1e-13, abs=1e-18)
+    # the axis terms can cancel exactly (modes (0,0),(0,0),(0,0),(0,2) give Lx = 0),
+    # so the roundoff scale of Lx is sum_j |term_j|, not |Lx|
+    assert Lx == pytest.approx(want_Lx, rel=1e-13, abs=1e-13 * sum(map(abs, terms)))
 
 
 @settings(max_examples=25, deadline=None)
