@@ -230,9 +230,7 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
     presets = _PRESETS[cfg.experiment]
     resolved: dict = {"experiment": cfg.experiment, "seed": cfg.seed}
     defaults: dict = {}
-    for key in CONFIG_KEYS:
-        if key in ("experiment", "seed"):
-            continue
+    for key in _CHECKS:  # the optional keys
         user_value = getattr(cfg, key)
         if user_value is not None:
             resolved[key] = user_value
@@ -244,6 +242,15 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
     if resolved["output_dir"] is None:
         resolved["output_dir"] = os.path.join("runs", cfg.experiment)
         defaults["output_dir"] = resolved["output_dir"]
+    # refused here, not after a driver has built its tables or started stepping
+    name, d, K, s, N_list = cfg.experiment, *(resolved[k] for k in ("d", "K", "s", "N_list"))
+    if name in ("energy_increment", "bernstein") and any(N & (N - 1) for N in N_list):
+        raise ConfigError("N_list", f"N_list must hold powers of two, got {N_list}")
+    if name == "energy_increment" and not s > 1.0:
+        raise ConfigError("s", f"s must be > 1 for energy_increment, got {s}")
+    if name == "identity_k1" and d == 1 and K > _IDENTITY_EXHAUSTIVE_K_CAP:
+        raise ConfigError("K", f"the exhaustive 1-D identity scan ((K+1)^4 rows) caps at K = "
+                          f"{_IDENTITY_EXHAUSTIVE_K_CAP}; use d >= 2 for sampled tuples")
     return resolved, defaults
 
 
@@ -345,13 +352,7 @@ def _word_label(word: PWord) -> str:
 def _run_identity_k1(resolved: dict, threads: int) -> DriverResult:
     d, K, seed, trials = resolved["d"], resolved["K"], resolved["seed"], resolved["trials"]
     columns = ["mu_sq_1", "mu_sq_2", "mu_sq_3", "mu_sq_4", "L0", "rhs", "residual", "resonant"]
-    if d == 1:
-        if K > _IDENTITY_EXHAUSTIVE_K_CAP:
-            raise ConfigError(
-                "K",
-                f"the exhaustive 1-D identity scan caps at K = {_IDENTITY_EXHAUSTIVE_K_CAP} "
-                f"((K+1)^4 rows); use d >= 2 for sampled tuples at larger K",
-            )
+    if d == 1:  # K is capped by _resolve
         scan = identity_residual_scan_1d(K)
         mu = 2 * np.indices((K + 1,) * 4, dtype=np.int32).reshape(4, -1) + 1  # C order
         cols = (*mu, *(scan[key].ravel() for key in ("L0", "rhs", "residual", "resonant")))
@@ -704,23 +705,32 @@ def run(cfg: ExperimentConfig, output_dir: str | None = None,
         defaults_applied[key] = value
     out_dir = resolved["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "results.csv"), result.columns, result.rows)
-    manifest = {
-        "config_echo": cfg.raw_text,
-        "csv_columns": result.columns,
-        "defaults_applied": defaults_applied,
-        "derived": result.derived,
-        "experiment": cfg.experiment,
-        "resolved_config": resolved,
-        "seed_override": bool(seed_override),
-        "summary": result.summary,
-        "taint": {"tainted": bool(result.taints), "flags": result.taints},
-        "version": __version__,
-        "wall_time_s": time.perf_counter() - t_start,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(_jsonable(manifest), f, sort_keys=True, indent=2)
-        f.write("\n")
+    # both files go to temporaries first, so a failed write leaves the previous pair
+    final = {name: os.path.join(out_dir, name) for name in ("results.csv", "manifest.json")}
+    tmp = {name: f"{path}.{os.getpid()}.tmp" for name, path in final.items()}
+    try:
+        _write_csv(tmp["results.csv"], result.columns, result.rows)
+        manifest = {
+            "config_echo": cfg.raw_text,
+            "csv_columns": result.columns,
+            "defaults_applied": defaults_applied,
+            "derived": result.derived,
+            "experiment": cfg.experiment,
+            "resolved_config": resolved,
+            "seed_override": bool(seed_override),
+            "summary": result.summary,
+            "taint": {"tainted": bool(result.taints), "flags": result.taints},
+            "version": __version__,
+            "wall_time_s": time.perf_counter() - t_start,
+        }
+        with open(tmp["manifest.json"], "w", encoding="utf-8") as f:
+            json.dump(_jsonable(manifest), f, sort_keys=True, indent=2)
+            f.write("\n")
+        for name, path in final.items():
+            os.replace(tmp[name], path)
+    finally:
+        for path in filter(os.path.exists, tmp.values()):
+            os.remove(path)
     print(
         f"{cfg.experiment}: wrote {len(result.rows)} rows to {out_dir}/results.csv"
         + (f" [tainted: {', '.join(result.taints)}]" if result.taints else "")
@@ -772,25 +782,21 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = parse_config(text)
+        if args.command == "validate":
+            resolved, defaults_applied = _resolve(cfg)
+            print(json.dumps(
+                _jsonable({"resolved_config": resolved, "defaults_applied": defaults_applied}),
+                sort_keys=True, indent=2,
+            ))
+            return 0
     except ConfigError as exc:
         print(f"config error [{exc.key}]: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "validate":
-        resolved, defaults_applied = _resolve(cfg)
-        print(json.dumps(
-            _jsonable({"resolved_config": resolved, "defaults_applied": defaults_applied}),
-            sort_keys=True, indent=2,
-        ))
-        return 0
-
     seed_override = args.seed is not None
-    if seed_override:
-        if args.seed < 0:
-            print("config error [seed]: seed must be >= 0", file=sys.stderr)
-            return 1
-        cfg = replace(cfg, seed=args.seed)
     try:
+        if seed_override:
+            cfg = replace(cfg, seed=_as_int("seed", args.seed, lo=0))
         threads = _threads_arg(args.threads)
         return run(cfg, output_dir=args.output_dir, threads=threads,
                    seed_override=seed_override)

@@ -88,8 +88,8 @@ def eigenvalue_box(d: int, n: int) -> np.ndarray:
     return (2 * sum(grids) + d).astype(np.int64)
 
 
-def _hermite_rows(K_eval: int, x: np.ndarray):
-    """Yield the rows h_0(x), ..., h_{K_eval}(x) of the renormalized recurrence.
+def _hermite_rows(K_eval: int, x: np.ndarray, start: int = 0):
+    """Yield the rows h_start(x), ..., h_{K_eval}(x) of the renormalized recurrence.
 
     Runs the three-term recurrence on the envelope-free polynomials with a per-node
     power-of-two counter and rebuilds each row with ldexp.  Plain evaluation dies for
@@ -97,7 +97,8 @@ def _hermite_rows(K_eval: int, x: np.ndarray):
     recurrence can then never climb back to the O(1) oscillatory values.  The counter
     scheme is exact (power-of-two scaling only) and keeps every representable value.
     Every operation is odd or even in x, so mirrored nodes give rows that are exactly
-    (-1)^k times each other.
+    (-1)^k times each other.  Rows below `start` are run through the recurrence
+    but never rebuilt.
     """
     # envelope e^{-x^2/2} pi^{-1/4} = 2^kappa * ebar with ebar in [1, 2)
     a = (-0.5 * x * x - 0.25 * math.log(math.pi)) * _LOG2E
@@ -107,12 +108,10 @@ def _hermite_rows(K_eval: int, x: np.ndarray):
     # where every h_k underflows to 0.0 either way
     kap_i = np.maximum(kappa, -2.0 ** 30).astype(np.int32)
     cnt = np.zeros(x.size, dtype=np.int32)
-    p_prev = np.ones_like(x)
-    p_cur = math.sqrt(2.0) * x
-    yield np.ldexp(ebar, kap_i)
-    if K_eval >= 1:
-        yield np.ldexp(p_cur * ebar, kap_i)
-    for k in range(1, K_eval):
+    p_prev, p_cur = np.zeros_like(x), np.ones_like(x)
+    if start <= 0:
+        yield np.ldexp(ebar, kap_i)
+    for k in range(K_eval):
         p_prev, p_cur = p_cur, x * math.sqrt(2.0 / (k + 1)) * p_cur \
             - math.sqrt(k / (k + 1.0)) * p_prev
         if k % _RENORM_EVERY == 0:
@@ -122,7 +121,8 @@ def _hermite_rows(K_eval: int, x: np.ndarray):
                 p_prev = p_prev * scale
                 p_cur = p_cur * scale
                 cnt += np.where(big, _RENORM_SHIFT, 0)
-        yield np.ldexp(p_cur * ebar, kap_i + cnt)
+        if k >= start - 1:
+            yield np.ldexp(p_cur * ebar, kap_i + cnt)
 
 
 def hermite_values_1d(K_eval: int, nodes) -> np.ndarray:
@@ -153,16 +153,6 @@ def _mirrored_values(K_eval: int, rule: "QuadratureRule") -> np.ndarray:
     sign = (-1.0) ** np.arange(K_eval + 1)
     np.multiply(half[:, Q % 2:][:, ::-1], sign[:, None], out=out[:, :lo])
     return out
-
-
-def _edge_values(Q: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h_{Q-1}, h_Q, sum_{k<Q} h_k^2) at x, streaming (O(Q) memory)."""
-    sumsq = np.zeros_like(x)
-    rows = _hermite_rows(Q, x)
-    for _ in range(Q):
-        row = next(rows)
-        sumsq += row * row
-    return row, next(rows), sumsq
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,10 +215,12 @@ def gauss_hermite_rule(Q: int, w: int = 2) -> QuadratureRule:
     if info != 0:
         raise np.linalg.LinAlgError(f"dsterf failed for Q = {Q} (info = {info})")
     pos = np.sqrt(lam[odd:])  # ascending; odd Q drops the root 0
-    h_prev, h_top, _ = _edge_values(Q, pos)
+    h_prev, h_top = _hermite_rows(Q, pos, start=Q - 1)
     pos = pos - h_top / (math.sqrt(2.0 * Q) * h_prev - pos * h_top)
     half = np.concatenate([np.zeros(odd), pos])
-    _, _, sumsq = _edge_values(Q, half)
+    sumsq = np.zeros_like(half)
+    for row in _hermite_rows(Q - 1, half):  # streamed: O(Q) memory
+        sumsq += row * row
     w_half = 1.0 / sumsq
     nodes = np.concatenate([-pos[::-1], half])
     weights = np.concatenate([w_half[odd:][::-1], w_half])

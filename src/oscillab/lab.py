@@ -407,11 +407,26 @@ def _time_rule(T: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     return tg, tw
 
 
-def _time_series(m0: int, c: np.ndarray, tg: np.ndarray) -> np.ndarray:
-    """c_m e^{-i(2m+1)t} on the time nodes, as real (modes, 2 * times) with the
-    real and imaginary parts interleaved: a real table times it is a real GEMM."""
-    m = np.arange(m0, m0 + c.size)
-    return (c[:, None] * np.exp(-1j * np.outer(2 * m + 1, tg))).view(float)
+def _time_series(c: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """c_j e^{-2ijt} on the time nodes, as real (modes, 2 * times) with the real and
+    imaginary parts interleaved: a real table times it is a real GEMM.  Mode m0 + j
+    evolves as e^{-i(2(m0 + j) + 1)t}; the factor e^{-i(2 m0 + 1)t} is common to the
+    window and has modulus 1, so it drops out of every modulus the kernel takes."""
+    return (c[:, None] * phases[:c.size]).view(float)
+
+
+def _v_support(Vv: np.ndarray, cv: np.ndarray, phases: np.ndarray):
+    """(nodes, |gv|^2 there): v's support, cut at 1e-11 of its peak amplitude.  For every
+    t, |gv(x, t)| <= sum_m |c_m| |h_m(x)|, and max |gv| >= max_x |gv(x, tg[0])|, so the
+    cut lies inside `cand` (half the floor covers roundoff)."""
+    ev = _time_series(cv, phases)
+    floor = 1e-11 * np.abs((Vv.T @ ev[:, :2]).view(complex)).max()
+    cand = np.flatnonzero(np.abs(cv) @ np.abs(Vv) > 0.5 * floor)
+    abs_gv = np.abs((Vv[:, cand].T @ ev).view(complex))
+    peak = abs_gv.max(axis=1)
+    sup = peak > 1e-11 * peak.max()
+    gv_sq = abs_gv[sup]
+    return cand[sup], np.square(gv_sq, out=gv_sq)
 
 
 def bilinear_min_K(N: int) -> int:
@@ -439,6 +454,10 @@ def derivative_bilinear_ratio(
     `basis` is a 1-D axis basis (packets tensorize, so all grid work is 1-D);
     it must satisfy basis.K >= bilinear_min_K(max(N, M)).  Returns per-trial raw
     norms and ratios plus their max.
+
+    Only |gu| and |gv| enter, so each window's common phase drops out (_time_series):
+    the trials are drawn first, then one table e^{-2ijt} as wide as the widest window
+    serves every trial and axis of the call.
     """
     if basis.d != 1:
         raise ValueError("pass a 1-D axis basis; tensor packets factorize per axis")
@@ -460,7 +479,7 @@ def derivative_bilinear_ratio(
     V = basis.values
     W = basis.rule.weights
     tg, tw = _time_rule(T, N)
-    raws = np.empty(trials)
+    pairs = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, N, M, trial)))
         u_axes, v_axes = _draw_packet_pair(rng, d, N, M, T, K_draw)
@@ -468,22 +487,20 @@ def derivative_bilinear_ratio(
             for letter, ax in word.letters:  # each axis's letters in word order
                 m0, c = axes[ax - 1]
                 axes[ax - 1] = _letter_image(c, letter, 0, m0)
+        pairs.append((u_axes, v_axes))
+    width = max(c.size for u_axes, v_axes in pairs for _, c in u_axes + v_axes)
+    phases = np.exp(-2j * np.outer(np.arange(width), tg))  # one table for the cell
+    raws = np.empty(trials)
+    for trial, (u_axes, v_axes) in enumerate(pairs):
         prof = np.ones_like(tg)
         for (m0u, cu), (m0v, cv) in zip(u_axes, v_axes):
-            Vv = V[m0v:m0v + cv.size]
-            ev = _time_series(m0v, cv, tg)
-            # the product vanishes outside v's support; certified cut at 1e-11 amplitude.
-            # For every t, |gv(x, t)| <= sum_m |c_m| |h_m(x)|, and max |gv| >= max_x
-            # |gv(x, tg[0])|, so the cut lies inside `cand` (half the floor covers roundoff)
-            floor = 1e-11 * np.abs((Vv.T @ ev[:, :2]).view(complex)).max()
-            cand = np.flatnonzero(np.abs(cv) @ np.abs(Vv) > 0.5 * floor)
-            abs_gv = np.abs((Vv[:, cand].T @ ev).view(complex))
-            peak = abs_gv.max(axis=1)
-            sup = peak > 1e-11 * peak.max()
-            nodes = cand[sup]
-            gu = V[m0u:m0u + cu.size][:, nodes].T @ _time_series(m0u, cu, tg)
-            abs_sq_gu = gu[:, 0::2] ** 2 + gu[:, 1::2] ** 2
-            prof = prof * (W[nodes] @ (abs_sq_gu * abs_gv[sup] ** 2))
+            nodes, gv_sq = _v_support(V[m0v:m0v + cv.size], cv, phases)  # gu gv = 0 off it
+            gu = V[m0u:m0u + cu.size][:, nodes].T @ _time_series(cu, phases)
+            np.square(gu, out=gu)  # the tail runs in place: |gu|^2 |gv|^2 in gv_sq
+            abs_sq_gu = gu[:, 0::2]
+            abs_sq_gu += gu[:, 1::2]
+            gv_sq *= abs_sq_gu
+            prof = prof * (W[nodes] @ gv_sq)
         raws[trial] = math.sqrt(float(np.sum(tw * prof)))
     normalization = (float(N) ** word_a.order * float(M) ** word_b.order
                      * float(M) ** ((d - 1) / 2.0) * float(N) ** -0.5)

@@ -162,6 +162,68 @@ def test_validate_valid_and_invalid(tmp_path, capsys):
     assert "config error [K]" in capsys.readouterr().err
 
 
+def _refuse_to_drive(monkeypatch):
+    """Replace every driver by one that fails: the config must not run."""
+    def never(resolved, threads):
+        raise AssertionError("the config reached its driver")
+
+    for name, (_, description) in list(EXPERIMENTS.items()):
+        monkeypatch.setitem(EXPERIMENTS, name, (never, description))
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("text,key", [
+    ("experiment = energy_increment\nN_list = [3, 5]\n", "N_list"),
+    ("experiment = energy_increment\nN_list = [4, 8, 12]\n", "N_list"),
+    ("experiment = energy_increment\ns = 0.5\n", "s"),
+    ("experiment = energy_increment\ns = 1\n", "s"),
+    ("experiment = bernstein\nN_list = [4, 6, 8]\n", "N_list"),
+    ("experiment = identity_k1\nK = 25\n", "K"),
+])
+def test_run_time_failures_refused_up_front(tmp_path, capsys, monkeypatch, command, text, key):
+    _refuse_to_drive(monkeypatch)
+    path = _write(tmp_path, text + "seed = 1\n")
+    extra = ["--output-dir", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, path, *extra]) == 1
+    assert f"config error [{key}]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "experiment = energy_increment\nN_list = [1, 2, 4]\ns = 1.01\n",
+    "experiment = bernstein\nN_list = [2, 16]\n",
+    "experiment = bilinear\nN_list = [6, 12]\n",  # any N: the time rule needs no dyadic N
+    "experiment = identity_k1\nK = 24\n",
+    "experiment = identity_k1\nd = 2\nK = 40\n",
+])
+def test_validate_accepts_the_edges_of_the_up_front_checks(tmp_path, capsys, monkeypatch, text):
+    _refuse_to_drive(monkeypatch)
+    assert main(["validate", _write(tmp_path, text + "seed = 1\n")]) == 0
+    assert "resolved_config" in capsys.readouterr().out
+
+
+def test_failed_manifest_write_keeps_the_previous_output(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, FAST_IDENTITY), "--output-dir", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["manifest.json", "results.csv"]
+
+    def disk_full(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    other = _write(tmp_path, "experiment = identity_k1\nK = 4\nseed = 42\n", "other.cfg")
+    monkeypatch.setattr(json, "dump", disk_full)
+    assert main(["run", other, "--output-dir", str(out)]) == 1
+    assert "no space left on device" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # the refused run would have replaced both files
+    monkeypatch.undo()
+    assert main(["run", other, "--output-dir", str(out)]) == 0
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(after) == sorted(before)
+    assert all(after[name] != before[name] for name in before)
+
+
 def test_missing_config_file_is_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 1
     assert "cannot read config" in capsys.readouterr().err

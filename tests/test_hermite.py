@@ -26,7 +26,7 @@ from oscillab import (
     hermite_values_1d,
     synthesize,
 )
-from oscillab.hermite import _mirrored_values
+from oscillab.hermite import _hermite_rows, _mirrored_values
 
 
 def test_ground_state_value_at_origin():
@@ -122,6 +122,17 @@ def test_folded_value_table_bitwise_equal_full_evaluation(Q, w):
     full = hermite_values_1d(K_eval, rule.nodes)
     assert np.array_equal(folded, full)
     assert np.array_equal(np.signbit(folded), np.signbit(full))
+
+
+@pytest.mark.parametrize("Q", [1, 2, 3, 7, 66, 130, 512, 3910])
+def test_rows_from_start_are_the_full_table_rows_bitwise(Q):
+    # the rule's Newton pass runs the recurrence but rebuilds only h_{Q-1} and h_Q
+    x = gauss_hermite_rule(Q, w=1).nodes[::max(1, Q // 64)]
+    full = hermite_values_1d(Q, x)
+    for start in sorted({0, 1, Q // 2, Q - 1, Q}):
+        rows = list(_hermite_rows(Q, x, start=start))
+        assert len(rows) == Q + 1 - start
+        assert np.array(rows).tobytes() == full[start:].tobytes()
 
 
 def test_basis_tables_are_full_evaluations():

@@ -310,8 +310,20 @@ def test_identity_scan_derivative_table_is_the_old_loop_bitwise(K):
     assert got.tobytes() == _reference_derivative_table(V, K).tobytes()
 
 
-def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed):
-    """The dense trial loop: both factors on every node, complex products."""
+def _reference_v_nodes(Vv, m0, cv, tg):
+    """The support cut of the kernel before its phase table: the same floor and
+    candidate nodes, on the full phases e^{-i(2m+1)t} of the window's modes."""
+    m = np.arange(m0, m0 + cv.size)
+    ev = (cv[:, None] * np.exp(-1j * np.outer(2 * m + 1, tg))).view(float)
+    floor = 1e-11 * np.abs((Vv.T @ ev[:, :2]).view(complex)).max()
+    cand = np.flatnonzero(np.abs(cv) @ np.abs(Vv) > 0.5 * floor)
+    peak = np.abs((Vv[:, cand].T @ ev).view(complex)).max(axis=1)
+    return cand[peak > 1e-11 * peak.max()]
+
+
+def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed, v_nodes=None):
+    """The dense trial loop: both factors on every node, complex products.  When
+    `v_nodes` is a list, each axis's _reference_v_nodes is appended to it."""
     V = basis.values[: basis.K + 1]
     W = basis.rule.weights
     tg, tw = lab._time_rule(T, N)
@@ -327,6 +339,8 @@ def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed):
                 v_axes[axis] = _reference_ladder_window(*v_axes[axis], letter)
         prof = np.ones_like(tg)
         for (m0u, cu), (m0v, cv) in zip(u_axes, v_axes):
+            if v_nodes is not None:
+                v_nodes.append(_reference_v_nodes(V[m0v:m0v + cv.size], m0v, cv, tg))
             mv = np.arange(m0v, m0v + cv.size)
             gv = V[m0v:m0v + cv.size].T @ (cv[:, None] * np.exp(-1j * np.outer(2 * mv + 1, tg)))
             sup = np.abs(gv).max(axis=1) > 1e-11 * np.abs(gv).max()
@@ -358,6 +372,30 @@ def test_bilinear_kernel_matches_dense_reference(d, word):
             got = derivative_bilinear_ratio(basis, d, w, w, N, M, math.pi, 2, 31)["raws"]
             want = _dense_reference_raws(basis, d, w, w, N, M, math.pi, 2, 31)
             assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("word", ["identity", "GRAD1"])
+def test_bilinear_phase_table_matches_dense_reference_at_large_N(word, monkeypatch):
+    # at N = 64 the full phases (2m+1)t reach 2.5e4 rad; the kernel's e^{-2ijt} table
+    # must give the same raws and keep the very same support nodes
+    w = _WORDS[word]
+    basis = HermiteBasis(1, bilinear_min_K(64) + w.order)
+    seen, v_support = [], lab._v_support
+
+    def spy(*args):
+        seen.append(v_support(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(lab, "_v_support", spy)
+    for N in (32, 64):
+        seen.clear()
+        want_nodes = []
+        got = derivative_bilinear_ratio(basis, 2, w, w, N, 2, math.pi, 1, 31)["raws"]
+        want = _dense_reference_raws(basis, 2, w, w, N, 2, math.pi, 1, 31, want_nodes)
+        assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert len(seen) == len(want_nodes) == 2
+        for (nodes, _), want_ax in zip(seen, want_nodes):
+            assert np.array_equal(nodes, want_ax)
 
 
 def test_bilinear_trial_memory_bounded():
