@@ -242,7 +242,7 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
     if resolved["output_dir"] is None:
         resolved["output_dir"] = os.path.join("runs", cfg.experiment)
         defaults["output_dir"] = resolved["output_dir"]
-    # refused here, not after a driver has built its tables or started stepping
+    # refused here, before any table is built or any step is taken
     name, d, K, s, N_list = cfg.experiment, *(resolved[k] for k in ("d", "K", "s", "N_list"))
     if name in ("energy_increment", "bernstein") and any(N & (N - 1) for N in N_list):
         raise ConfigError("N_list", f"N_list must hold powers of two, got {N_list}")

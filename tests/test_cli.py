@@ -163,9 +163,9 @@ def test_validate_valid_and_invalid(tmp_path, capsys):
 
 
 def _refuse_to_drive(monkeypatch):
-    """Replace every driver by one that fails: the config must not run."""
+    """Replace every experiment's run function by one that fails: nothing may run."""
     def never(resolved, threads):
-        raise AssertionError("the config reached its driver")
+        raise AssertionError("the config was run")
 
     for name, (_, description) in list(EXPERIMENTS.items()):
         monkeypatch.setitem(EXPERIMENTS, name, (never, description))
