@@ -17,16 +17,15 @@ workloads.
 """
 
 import argparse
-import io
 import json
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from export_rev import ROOT, export_rev
+
 SECONDS = 30  # length of every run, the same on both sides and in every BENCH file
 
 
@@ -49,15 +48,10 @@ def main() -> None:
     if args.seeds[1] <= args.seeds[0]:
         p.error("--seeds needs at least two seeds, FIRST < LAST")
     better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    base_sha = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, check=True,
-                              capture_output=True, text=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", "--format=tar", base_sha], cwd=ROOT, check=True,
-                             capture_output=True).stdout
     pairs = []
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "base"
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tree)
+        base_sha = export_rev(args.base, tree)
         for i, seed in enumerate(range(args.seeds[0], args.seeds[1] + 1)):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             pair = {side: bench(tree if side == "base" else ROOT, args.workload, seed)

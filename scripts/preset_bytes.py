@@ -1,0 +1,74 @@
+"""Every preset's output on a commit and on the working tree, compared byte for byte.
+
+    python3 scripts/preset_bytes.py --base HEAD~1
+
+Exports --base with `git archive` into a temporary directory (as
+scripts/bench_pairs.py does) and runs every experiment that the working tree's
+`oscillab list-experiments` names at its preset, on both trees:
+`oscillab run` with only `experiment` and `seed = 20260814`, `--threads 1` and
+OpenBLAS on one thread, into the default output directory.  Prints per preset
+whether results.csv is byte-identical and whether the manifest's resolved_config,
+defaults_applied and derived blocks are equal; exits 1 on any difference.  A run
+that fails or whose exit code differs counts as a difference.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from export_rev import ROOT, export_rev
+
+SEED = 20260814
+BLOCKS = ("resolved_config", "defaults_applied", "derived")
+
+
+def oscillab(tree: Path, cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OSCILLAB_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "oscillab", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def run_preset(tree: Path, cwd: Path, experiment: str):
+    """(exit code, results.csv bytes, the manifest's BLOCKS) of one preset run."""
+    cwd.mkdir(parents=True, exist_ok=True)
+    (cwd / "preset.cfg").write_text(f"experiment = {experiment}\nseed = {SEED}\n", encoding="utf-8")
+    rc = oscillab(tree, cwd, "run", "preset.cfg", "--threads", "1").returncode
+    out = cwd / "runs" / experiment
+    if rc not in (0, 2):
+        return rc, None, None
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    return rc, (out / "results.csv").read_bytes(), {k: manifest[k] for k in BLOCKS}
+
+
+def main() -> None:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", required=True, help="commit to compare the working tree against")
+    args = p.parse_args()
+    listing = oscillab(ROOT, ROOT, "list-experiments")
+    listing.check_returncode()
+    experiments = [line.split(":", 1)[0] for line in listing.stdout.splitlines()]
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        sha = export_rev(args.base, base)
+        print(f"base {sha}, seed {SEED}")
+        for name in experiments:
+            (rc_b, csv_b, man_b), (rc_c, csv_c, man_c) = (
+                run_preset(tree, Path(tmp) / side / name, name)
+                for side, tree in (("base", base), ("change", ROOT)))
+            same_csv = rc_b == rc_c and csv_b is not None and csv_b == csv_c
+            same_man = rc_b == rc_c and man_b is not None and man_b == man_c
+            differ += not (same_csv and same_man)
+            print(f"{name}: results.csv {'equal' if same_csv else 'different'}, "
+                  f"manifest {'equal' if same_man else 'different'} (exit {rc_b}/{rc_c})")
+    if differ:
+        sys.exit(f"error: {differ} of {len(experiments)} presets differ")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,8 +1,9 @@
 """Configuration-driven experiment runner.
 
-A run is described by a closed key set (CONFIG_KEYS) given as a JSON object or as
-``key = value`` lines (``#`` starts a comment).  Every run writes two files into
-the output directory:
+A run is described by a JSON object or by ``key = value`` lines (``#`` starts a
+comment).  Its keys are ``experiment``, ``seed``, ``output_dir`` and the keys of the
+experiment's row in EXPERIMENTS, which also holds their presets.  Every run writes
+two files into the output directory:
 
 * ``results.csv`` — long-format table with a fixed column set per experiment;
   floats are written with shortest round-trip formatting, so the file is
@@ -41,30 +42,24 @@ from .operators import (IOperatorSpec, PWord, apply_I, bernstein_draws, bernstei
 from .solver import SolverConfig, evolve
 from .lab import (
     QuadTuple,
-    _quad_terms,
     almost_orthogonality_scan,
     bilinear_min_K,
     derivative_bilinear_ratio,
     energy_increment_scan,
     fit_power_law,
+    identity_k1_residual,
     identity_residual_scan_1d,
     norm_growth_experiment,
+    time_node_count,
 )
 
 __all__ = [
-    "CONFIG_KEYS",
     "ConfigError",
     "ExperimentConfig",
     "parse_config",
     "run",
     "main",
 ]
-
-CONFIG_KEYS = (
-    "experiment", "d", "K", "s", "N_list", "M_list", "dt", "T", "trials",
-    "seed", "output_dir",
-)
-
 
 class ConfigError(ValueError):
     """Configuration problem; .key names the offending key (or key path)."""
@@ -169,9 +164,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _config_from_dict(data: dict, raw_text: str) -> ExperimentConfig:
-    for key in data:
-        if key not in CONFIG_KEYS:
-            raise ConfigError(key, f"unknown key {key!r}; known keys: {', '.join(CONFIG_KEYS)}")
     if "experiment" not in data:
         raise ConfigError("experiment", "missing required key 'experiment'")
     experiment = data["experiment"]
@@ -180,6 +172,10 @@ def _config_from_dict(data: dict, raw_text: str) -> ExperimentConfig:
             "experiment",
             f"unknown experiment {experiment!r}; choices: {', '.join(EXPERIMENTS)}",
         )
+    keys = ("experiment", "seed", *EXPERIMENTS[experiment][2], "output_dir")
+    for key in data:
+        if key not in keys:
+            raise ConfigError(key, f"{experiment} reads no key {key!r}; its keys: {', '.join(keys)}")
     if "seed" not in data:
         raise ConfigError("seed", "missing required key 'seed' (runs must be reproducible)")
     kwargs = {
@@ -193,24 +189,11 @@ def _config_from_dict(data: dict, raw_text: str) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-# --------------------------------------------------------------------------
-# Presets (resolved defaults; every applied default is reported in the manifest)
-# --------------------------------------------------------------------------
-
-_PRESETS: dict[str, dict] = {
-    "identity_k1": dict(d=1, K=16, trials=64),
-    "orthogonality": dict(d=1, K=64, trials=4),
-    "bilinear": dict(d=2, N_list=[4, 8, 16, 32, 64], M_list=[2], T=math.pi, trials=32),
-    "bilinear_derivative": dict(d=2, N_list=[4, 8, 16, 32, 64], M_list=[2], T=math.pi, trials=32),
-    "bernstein": dict(d=1, N_list=[4, 8, 16, 32, 64], trials=8),
-    "energy_increment": dict(d=2, K=64, s=1.5, N_list=[4, 8, 16, 32], dt=1e-5, T=0.4),
-    "norm_growth": dict(d=2, K=32, s=2.0, dt=0.01, T=200.0),
-    "conservation": dict(d=2, K=32, s=1.0, dt=0.005, T=10.0),
-}
-
 # Experiment-internal knobs (not part of the config key set; echoed in manifests).
 _ORTHO_C0 = 2.0
 _IDENTITY_EXHAUSTIVE_K_CAP = 24
+_MAX_STEPS = 10 ** 7  # the most solver steps a config may ask for
+_MAX_ARRAY_BYTES = 2 ** 31  # the largest array a config may ask for: 2 GiB
 _INC_RECORD_EVERY = 200
 _INC_BODY_DECAY = 6.0
 _INC_BODY_DEG_CUT = 40
@@ -226,31 +209,39 @@ _CONS_MASS = 0.25
 
 
 def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    """Merge user config over experiment presets -> (resolved dict, defaults applied)."""
-    presets = _PRESETS[cfg.experiment]
+    """Merge user config over the experiment's preset -> (resolved dict, defaults
+    applied).  A key the experiment does not read resolves to None."""
+    preset = EXPERIMENTS[cfg.experiment][2]
     resolved: dict = {"experiment": cfg.experiment, "seed": cfg.seed}
     defaults: dict = {}
     for key in _CHECKS:  # the optional keys
-        user_value = getattr(cfg, key)
-        if user_value is not None:
-            resolved[key] = user_value
-        elif key in presets:
-            resolved[key] = presets[key]
-            defaults[key] = presets[key]
-        else:
-            resolved[key] = None
+        resolved[key] = getattr(cfg, key)
+        if resolved[key] is None and key in preset:
+            resolved[key] = defaults[key] = preset[key]
+    for key, value in defaults.items():  # a derived preset reads the other keys
+        if callable(value):
+            resolved[key] = defaults[key] = value(resolved)
     if resolved["output_dir"] is None:
-        resolved["output_dir"] = os.path.join("runs", cfg.experiment)
-        defaults["output_dir"] = resolved["output_dir"]
+        resolved["output_dir"] = defaults["output_dir"] = os.path.join("runs", cfg.experiment)
     # refused here, before any table is built or any step is taken
-    name, d, K, s, N_list = cfg.experiment, *(resolved[k] for k in ("d", "K", "s", "N_list"))
-    if name in ("energy_increment", "bernstein") and any(N & (N - 1) for N in N_list):
+    d, K, s, N_list, dt, T = (resolved[k] for k in ("d", "K", "s", "N_list", "dt", "T"))
+    if cfg.experiment in ("energy_increment", "bernstein") and any(N & (N - 1) for N in N_list):
         raise ConfigError("N_list", f"N_list must hold powers of two, got {N_list}")
-    if name == "energy_increment" and not s > 1.0:
+    if cfg.experiment == "energy_increment" and not s > 1.0:
         raise ConfigError("s", f"s must be > 1 for energy_increment, got {s}")
-    if name == "identity_k1" and d == 1 and K > _IDENTITY_EXHAUSTIVE_K_CAP:
+    if cfg.experiment == "identity_k1" and d == 1 and K > _IDENTITY_EXHAUSTIVE_K_CAP:
         raise ConfigError("K", f"the exhaustive 1-D identity scan ((K+1)^4 rows) caps at K = "
                           f"{_IDENTITY_EXHAUSTIVE_K_CAP}; use d >= 2 for sampled tuples")
+    if dt is not None and T / dt > _MAX_STEPS:
+        raise ConfigError("dt", f"T / dt = {T / dt:.3g} steps exceeds {_MAX_STEPS:.0e}")
+    if "M_list" in preset:  # bilinear: 1-D tables; a cell's phase table is the largest array
+        nodes = time_node_count(T, max(N_list))
+        key, size, what = "T", nodes * (K + 1) * 16, f"a phase table of {nodes} time nodes x {K + 1} modes"
+    else:
+        key, size, what = "K", (2 * K + 2) ** d * 16, f"a {2 * K + 2}^{d} complex grid"
+    if size > _MAX_ARRAY_BYTES:
+        raise ConfigError(key, f"{key} = {resolved[key]} gives {what}, {size / 2 ** 30:.3g} GiB, "
+                          f"over the {_MAX_ARRAY_BYTES // 2 ** 30} GiB bound")
     return resolved, defaults
 
 
@@ -265,7 +256,6 @@ class DriverResult:
     summary: dict
     derived: dict
     taints: list
-    resolved_extra: dict
 
 
 def _map_cells(fn, cells, threads: int):
@@ -367,7 +357,7 @@ def _run_identity_k1(resolved: dict, threads: int) -> DriverResult:
             "exhaustive": True,
         }
         derived = {"Q": 2 * K + 2, "mu_sq_max": int(2 * K + 1)}
-        return DriverResult(columns, rows, summary, derived, [], {})
+        return DriverResult(columns, rows, summary, derived, [])
     basis = HermiteBasis(d, K)
     basis.rule, basis.values  # build tables before any parallel work
 
@@ -375,13 +365,8 @@ def _run_identity_k1(resolved: dict, threads: int) -> DriverResult:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 5, i)))
         modes = [tuple(int(x) for x in rng.integers(0, K + 1, size=d)) for _ in range(4)]
         qt = QuadTuple.from_modes(basis, *modes)
-        denom = qt.mu_sq_1 - qt.mu_sq_2 - qt.mu_sq_3 - qt.mu_sq_4
-        L0, L1, Lx = _quad_terms(qt)
-        if denom == 0:
-            return [*qt.mu_sqs, L0, float("nan"), float("nan"), True]
-        rhs = -2.0 * (L1 + Lx) / denom
-        residual = abs(L0 - rhs) / (abs(L0) + 1e-30)
-        return [*qt.mu_sqs, L0, rhs, residual, False]
+        L0, rhs, residual = identity_k1_residual(qt)
+        return [*qt.mu_sqs, L0, rhs, residual, math.isnan(rhs)]
 
     rows = _map_cells(cell, list(range(trials)), threads)
     residuals = [row[6] for row in rows if not row[7]]
@@ -392,7 +377,7 @@ def _run_identity_k1(resolved: dict, threads: int) -> DriverResult:
         "exhaustive": False,
     }
     derived = {"Q": 2 * K + 2, "mu_sq_max": int(2 * d * K + d)}
-    return DriverResult(columns, rows, summary, derived, [], {})
+    return DriverResult(columns, rows, summary, derived, [])
 
 
 def _run_orthogonality(resolved: dict, threads: int) -> DriverResult:
@@ -416,25 +401,19 @@ def _run_orthogonality(resolved: dict, threads: int) -> DriverResult:
         "empty_window": bool(res["empty"]),
     }
     derived = {"C0": _ORTHO_C0, "trio_mu_sq": [d, d, d], "Q": 2 * K + 2}
-    return DriverResult(columns, rows, summary, derived, [], {})
+    return DriverResult(columns, rows, summary, derived, [])
 
 
-def _resolve_K(resolved: dict, K_needed: int) -> tuple[int, dict]:
-    """The configured K, or K_needed when the config leaves K unset; returns (K, the
-    resolved_extra entry that reports an applied K_needed)."""
-    if resolved["K"] is None:
-        return K_needed, {"K": K_needed}
-    return resolved["K"], {}
+def _bilinear_K(resolved: dict, word_a: PWord) -> int:
+    """The smallest K that holds every packet draw and its word (word_b is the identity)."""
+    return bilinear_min_K(max(max(resolved["N_list"]), max(resolved["M_list"]))) + word_a.order
 
 
 def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
     word_b = PWord.identity()
-    d, seed = resolved["d"], resolved["seed"]
+    d, K, seed = resolved["d"], resolved["K"], resolved["seed"]
     N_list, M_list = resolved["N_list"], resolved["M_list"]
     T, trials = resolved["T"], resolved["trials"]
-    max_ord = max(word_a.order, word_b.order)
-    K_needed = bilinear_min_K(max(max(N_list), max(M_list))) + max_ord
-    K, resolved_extra = _resolve_K(resolved, K_needed)
     axis_basis = HermiteBasis(1, K)
     axis_basis.rule, axis_basis.values  # build the shared tables up front
 
@@ -471,12 +450,17 @@ def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
     summary = {"per_M": per_M, "word_a": _word_label(word_a), "word_b": _word_label(word_b)}
     derived = {
         "K": K,
-        "K_needed": K_needed,
+        "K_needed": _bilinear_K(resolved, word_a),
         "Q": 2 * K + 2,
-        "time_nodes_max": 8 * max(8, 2 * max(N_list)) * max(1, int(math.ceil(T / math.pi - 1e-12))),
+        "time_nodes_max": time_node_count(T, max(N_list)),
         "normalization_by_cell": {f"N={N},M={M}": by_cell[(N, M)]["normalization"] for (N, M) in cells},
     }
-    return DriverResult(columns, rows, summary, derived, [], resolved_extra)
+    return DriverResult(columns, rows, summary, derived, [])
+
+
+def _bernstein_K(resolved: dict) -> int:
+    """The largest degree inside the top window."""
+    return (2 * max(resolved["N_list"]) ** 2 - resolved["d"] - 1) // 2
 
 
 def _all_words_up_to_order2(d: int) -> list[tuple[str, PWord]]:
@@ -488,11 +472,8 @@ def _all_words_up_to_order2(d: int) -> list[tuple[str, PWord]]:
 
 
 def _run_bernstein(resolved: dict, threads: int) -> DriverResult:
-    d, seed, trials = resolved["d"], resolved["seed"], resolved["trials"]
+    d, K, seed, trials = resolved["d"], resolved["K"], resolved["seed"], resolved["trials"]
     N_list = resolved["N_list"]
-    N_max = max(N_list)
-    K_needed = (2 * N_max * N_max - d - 1) // 2  # largest degree inside the top window
-    K, resolved_extra = _resolve_K(resolved, K_needed)
     basis = HermiteBasis(d, K)  # ladder algebra only; quadrature tables stay unbuilt
     words = _all_words_up_to_order2(d)
     cells = [(label, word, int(N)) for (label, word) in words for N in N_list]
@@ -522,8 +503,8 @@ def _run_bernstein(resolved: dict, threads: int) -> DriverResult:
         ),
         "n_words": len(words),
     }
-    derived = {"K": K, "K_needed": K_needed, "window_sizes": window_sizes}
-    return DriverResult(columns, rows, summary, derived, [], resolved_extra)
+    derived = {"K": K, "K_needed": _bernstein_K(resolved), "window_sizes": window_sizes}
+    return DriverResult(columns, rows, summary, derived, [])
 
 
 def _decaying_body(basis: HermiteBasis, rng, decay: float, degree_cut: int) -> np.ndarray:
@@ -594,7 +575,7 @@ def _run_energy_increment(resolved: dict, threads: int) -> DriverResult:
         "Q": 2 * K + 2,
     }
     taints = ["solver_spillage"] if res["diagnostics"]["tainted"] else []
-    return DriverResult(columns, rows, summary, derived, taints, {})
+    return DriverResult(columns, rows, summary, derived, taints)
 
 
 def _growth_datum(basis: HermiteBasis, seed: int, s: float) -> SpectralField:
@@ -633,7 +614,7 @@ def _run_norm_growth(resolved: dict, threads: int) -> DriverResult:
                   "hs_norm": _GROWTH_HS_NORM},
         "Q": 2 * K + 2,
     }
-    return DriverResult(columns, rows, summary, derived, taints, {})
+    return DriverResult(columns, rows, summary, derived, taints)
 
 
 def _conservation_datum(basis: HermiteBasis, seed: int) -> SpectralField:
@@ -671,18 +652,34 @@ def _run_conservation(resolved: dict, threads: int) -> DriverResult:
         "Q": 2 * K + 2,
     }
     taints = ["solver_spillage"] if diagnostics["tainted"] else []
-    return DriverResult(columns, rows, summary, derived, taints, {})
+    return DriverResult(columns, rows, summary, derived, taints)
 
 
+def _bilinear_row(word_a: PWord, description: str) -> tuple:
+    preset = dict(d=2, K=partial(_bilinear_K, word_a=word_a), N_list=[4, 8, 16, 32, 64],
+                  M_list=[2], T=math.pi, trials=32)
+    return partial(_run_bilinear, word_a=word_a), description, preset
+
+
+# name -> (driver, description, preset).  The preset holds exactly the optional keys the
+# experiment reads, with their defaults; a callable default is derived from the others.
 EXPERIMENTS: dict[str, tuple] = {
-    "identity_k1": (_run_identity_k1, "quadrilinear identity residuals over eigenspace tuples"),
-    "orthogonality": (_run_orthogonality, "decay of the quadrilinear form in the separated eigenvalue"),
-    "bilinear": (partial(_run_bilinear, word_a=PWord.identity()), "bilinear space-time norms of wave-packet pairs across dyadic windows"),
-    "bilinear_derivative": (partial(_run_bilinear, word_a=PWord.grad(axis=1)), "bilinear norms with a gradient word on the high-frequency factor"),
-    "bernstein": (_run_bernstein, "ladder-word operator norms on dyadic windows vs N^order"),
-    "energy_increment": (_run_energy_increment, "modified-energy increments across I-operator cutoffs"),
-    "norm_growth": (_run_norm_growth, "long-time Sobolev growth with linear control run"),
-    "conservation": (_run_conservation, "mass/energy drift of the splitting scheme"),
+    "identity_k1": (_run_identity_k1, "quadrilinear identity residuals over eigenspace tuples",
+                    dict(d=1, K=16, trials=64)),
+    "orthogonality": (_run_orthogonality, "decay of the quadrilinear form in the separated eigenvalue",
+                      dict(d=1, K=64, trials=4)),
+    "bilinear": _bilinear_row(
+        PWord.identity(), "bilinear space-time norms of wave-packet pairs across dyadic windows"),
+    "bilinear_derivative": _bilinear_row(
+        PWord.grad(axis=1), "bilinear norms with a gradient word on the high-frequency factor"),
+    "bernstein": (_run_bernstein, "ladder-word operator norms on dyadic windows vs N^order",
+                  dict(d=1, K=_bernstein_K, N_list=[4, 8, 16, 32, 64], trials=8)),
+    "energy_increment": (_run_energy_increment, "modified-energy increments across I-operator cutoffs",
+                         dict(d=2, K=64, s=1.5, N_list=[4, 8, 16, 32], dt=1e-5, T=0.4)),
+    "norm_growth": (_run_norm_growth, "long-time Sobolev growth with linear control run",
+                    dict(d=2, K=32, s=2.0, dt=0.01, T=200.0)),
+    "conservation": (_run_conservation, "mass/energy drift of the splitting scheme",
+                     dict(d=2, K=32, s=1.0, dt=0.005, T=10.0)),
 }
 
 
@@ -698,11 +695,7 @@ def run(cfg: ExperimentConfig, output_dir: str | None = None,
     if output_dir is not None:
         resolved["output_dir"] = output_dir
         defaults_applied.pop("output_dir", None)
-    driver = EXPERIMENTS[cfg.experiment][0]
-    result = driver(resolved, threads)
-    for key, value in result.resolved_extra.items():
-        resolved[key] = value
-        defaults_applied[key] = value
+    result = EXPERIMENTS[cfg.experiment][0](resolved, threads)
     out_dir = resolved["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     # both files go to temporaries first, so a failed write leaves the previous pair
@@ -770,7 +763,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-experiments":
-        for name, (_, description) in EXPERIMENTS.items():
+        for name, (_, description, _) in EXPERIMENTS.items():
             print(f"{name}: {description}")
         return 0
 

@@ -45,6 +45,7 @@ __all__ = [
     "fit_power_law",
     "quad_L0",
     "quad_L1_plus_weight",
+    "identity_k1_residual",
     "verify_identity_k1",
     "identity_residual_scan_1d",
     "random_shell_field",
@@ -52,6 +53,7 @@ __all__ = [
     "bilinear_strichartz_ratio",
     "derivative_bilinear_ratio",
     "bilinear_min_K",
+    "time_node_count",
     "energy_increment_scan",
     "norm_growth_experiment",
 ]
@@ -212,21 +214,28 @@ def quad_L1_plus_weight(qt: QuadTuple) -> tuple[float, float]:
     return _quad_terms(qt)[1:]
 
 
-def verify_identity_k1(qt: QuadTuple, eps: float = 1e-30) -> float:
-    """Relative residual of the k = 1 identity
+def identity_k1_residual(qt: QuadTuple) -> tuple[float, float, float]:
+    """(L0, rhs, relative residual) of the k = 1 identity
 
-        L0 = -2 (L1 + Lx) / (mu1^2 - mu2^2 - mu3^2 - mu4^2).
+        L0 = -2 (L1 + Lx) / (mu1^2 - mu2^2 - mu3^2 - mu4^2);
 
-    Raises ResonantTupleError when the denominator vanishes (integer-exact test).
+    rhs and the residual are nan on a resonant tuple (the denominator vanishes).
     """
     denom = qt.mu_sq_1 - qt.mu_sq_2 - qt.mu_sq_3 - qt.mu_sq_4
-    if denom == 0:
-        raise ResonantTupleError(
-            f"resonant tuple: mu^2 = {qt.mu_sqs} (denominator vanishes)"
-        )
     L0, L1, Lx = _quad_terms(qt)
+    if denom == 0:
+        return L0, math.nan, math.nan
     rhs = -2.0 * (L1 + Lx) / denom
-    return abs(L0 - rhs) / (abs(L0) + eps)
+    return L0, rhs, abs(L0 - rhs) / (abs(L0) + 1e-30)
+
+
+def verify_identity_k1(qt: QuadTuple) -> float:
+    """Relative residual of the k = 1 identity (identity_k1_residual); raises
+    ResonantTupleError when the denominator vanishes (integer-exact test)."""
+    _, rhs, residual = identity_k1_residual(qt)
+    if math.isnan(rhs):
+        raise ResonantTupleError(f"resonant tuple: mu^2 = {qt.mu_sqs} (denominator vanishes)")
+    return residual
 
 
 def identity_residual_scan_1d(K_max: int) -> dict:
@@ -394,12 +403,16 @@ def _draw_packet_pair(rng, d: int, N: int, M: int, T: float, K_cap: int):
     return u_axes, v_axes
 
 
+def time_node_count(T: float, N: int) -> int:
+    """Nodes of _time_rule(T, N): panels shrink like 1/N to resolve the O(1/(2N))
+    crossing spike, 8 Gauss-Legendre nodes per panel."""
+    return 8 * max(8, 2 * N) * max(1, int(math.ceil(T / math.pi - 1e-12)))
+
+
 def _time_rule(T: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre in time: panels shrink like 1/N to resolve the
-    O(1/(2N)) crossing spike; 8 nodes per panel."""
-    n_pan = max(8, 2 * N) * max(1, int(math.ceil(T / math.pi - 1e-12)))
+    """Composite Gauss-Legendre in time on time_node_count(T, N) nodes."""
     g, w = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(0.0, T, n_pan + 1)
+    edges = np.linspace(0.0, T, time_node_count(T, N) // g.size + 1)
     h = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
     tg = (mid[:, None] + h[:, None] * g[None, :]).ravel()

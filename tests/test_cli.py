@@ -5,11 +5,19 @@ results.csv, independent of --threads.  Exit codes: 0 success, 1 config or
 runtime error, 2 completed-but-tainted run.
 """
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from oscillab.cli import (
     ConfigError,
@@ -97,6 +105,20 @@ def test_range_and_type_validation(line, key):
     assert err.value.key.startswith(key)
 
 
+@pytest.mark.parametrize("text,key", [
+    ("experiment = energy_increment\ns = 0.0", "s"),
+    ("experiment = conservation\ndt = -0.1", "dt"),
+    ("experiment = bilinear\nT = 0", "T"),
+    ("experiment = bernstein\nN_list = [4, 0]", "N_list[1]"),
+    ("experiment = bilinear\nM_list = 4", "M_list"),
+])
+def test_range_checks_on_the_rows_that_read_the_key(text, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + "\nseed = 1\n")
+    assert err.value.key == key
+    assert "must be" in str(err.value)
+
+
 @pytest.mark.parametrize("key", ["dt", "T", "s"])
 @pytest.mark.parametrize("value", ["Infinity", "-Infinity"])
 @pytest.mark.parametrize("form", ["key_value", "json"])
@@ -167,8 +189,8 @@ def _refuse_to_drive(monkeypatch):
     def never(resolved, threads):
         raise AssertionError("the config was run")
 
-    for name, (_, description) in list(EXPERIMENTS.items()):
-        monkeypatch.setitem(EXPERIMENTS, name, (never, description))
+    for name, (_, description, preset) in list(EXPERIMENTS.items()):
+        monkeypatch.setitem(EXPERIMENTS, name, (never, description, preset))
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -179,6 +201,10 @@ def _refuse_to_drive(monkeypatch):
     ("experiment = energy_increment\ns = 1\n", "s"),
     ("experiment = bernstein\nN_list = [4, 6, 8]\n", "N_list"),
     ("experiment = identity_k1\nK = 25\n", "K"),
+    ("experiment = conservation\nN_list = [4]\n", "N_list"),  # a key the row does not read
+    ("experiment = conservation\ndt = 1e-300\n", "dt"),  # ~1e301 steps
+    ("experiment = conservation\nd = 3\nK = 400\n", "K"),  # an 802^3 complex grid, 8.2 GB
+    ("experiment = bilinear\nT = 1e6\n", "T"),  # 3.3e8 time nodes before the phase table
 ])
 def test_run_time_failures_refused_up_front(tmp_path, capsys, monkeypatch, command, text, key):
     _refuse_to_drive(monkeypatch)
@@ -195,11 +221,122 @@ def test_run_time_failures_refused_up_front(tmp_path, capsys, monkeypatch, comma
     "experiment = bilinear\nN_list = [6, 12]\n",  # any N: the time rule needs no dyadic N
     "experiment = identity_k1\nK = 24\n",
     "experiment = identity_k1\nd = 2\nK = 40\n",
+    "experiment = conservation\ndt = 1e-6\n",  # T / dt = 1e7 steps
+    "experiment = conservation\nd = 3\nK = 250\n",  # 502^3 * 16 B, just below 2 GiB
+    "experiment = bilinear\nT = 200\n",  # 65,536 time nodes x 1955 phases x 16 B
 ])
 def test_validate_accepts_the_edges_of_the_up_front_checks(tmp_path, capsys, monkeypatch, text):
     _refuse_to_drive(monkeypatch)
     assert main(["validate", _write(tmp_path, text + "seed = 1\n")]) == 0
     assert "resolved_config" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", [
+    "experiment = bilinear\nN_list = [4]\ntrials = 1\n",
+    "experiment = bilinear_derivative\nN_list = [4]\ntrials = 1\n",
+    "experiment = bernstein\nN_list = [2, 4]\ntrials = 1\n",
+])
+def test_validate_resolves_the_K_that_run_uses(tmp_path, capsys, text):
+    path = _write(tmp_path, text + "seed = 1\n")
+    assert main(["validate", path]) == 0
+    validated = json.loads(capsys.readouterr().out)
+    assert isinstance(validated["resolved_config"]["K"], int)
+    out = tmp_path / "out"
+    assert main(["run", path, "--output-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved_config"]["K"] == validated["resolved_config"]["K"]
+    assert manifest["derived"]["K"] == manifest["derived"]["K_needed"] == manifest["resolved_config"]["K"]
+    assert manifest["defaults_applied"]["K"] == validated["defaults_applied"]["K"]
+
+
+# valid values for every optional key: every combination of them passes the up-front checks
+_VALID = {
+    "d": st.integers(1, 3),
+    "K": st.integers(1, 24),
+    "s": st.floats(1.0, 8.0, exclude_min=True),
+    "dt": st.floats(1e-3, 1.0),
+    "T": st.floats(1e-3, 10.0),
+    "trials": st.integers(1, 100),
+    "N_list": st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=4),
+    "M_list": st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    "output_dir": st.from_regex(r"out/[a-z0-9_]{0,8}", fullmatch=True),
+}
+_COMMON = ("experiment", "seed", "output_dir")
+
+
+@st.composite
+def _row_config(draw):
+    name = draw(st.sampled_from(list(EXPERIMENTS)))
+    keys = draw(st.sets(st.sampled_from(sorted(EXPERIMENTS[name][2]) + ["output_dir"])))
+    if name == "bernstein" and "d" in keys:  # the preset N_list at d = 3 gives an 8190^3 grid
+        keys.add("N_list")
+    return {"experiment": name, "seed": draw(st.integers(0, 2**32)),
+            **{key: draw(_VALID[key]) for key in sorted(keys)}}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_row_config())
+def test_row_configs_parse_alike_and_resolve_every_row_key(monkeypatch, data):
+    _refuse_to_drive(monkeypatch)
+    key_value = "".join(f"{key} = {json.dumps(value)}\n" for key, value in data.items())
+    kv, js = parse_config(key_value), parse_config(json.dumps(data))
+    assert replace(kv, raw_text="") == replace(js, raw_text="")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "row.cfg")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(key_value)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["validate", path]) == 0
+    resolved = json.loads(out.getvalue())["resolved_config"]
+    preset = EXPERIMENTS[data["experiment"]][2]
+    for key in (*preset, *_COMMON):
+        assert resolved[key] is not None
+        assert resolved[key] == data.get(key, resolved[key])
+    for key in _VALID:
+        if key not in preset and key != "output_dir":
+            assert resolved[key] is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(list(EXPERIMENTS)),
+       key=st.one_of(st.sampled_from(sorted(_VALID)), st.from_regex(r"[A-Za-z_]\w{0,10}", fullmatch=True)),
+       value=st.integers(1, 4))
+def test_a_key_outside_the_row_is_refused_by_name(name, key, value):
+    assume(key not in (*EXPERIMENTS[name][2], *_COMMON))
+    text = f"experiment = {name}\nseed = 1\n{key} = {value}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key == key
+    assert repr(key) in str(err.value)
+
+
+def _readme_key_table():
+    """The README's experiment x key table: {experiment: {key: cell text}}."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| experiment | d | K | s | N_list | M_list | dt | T | trials |")
+    header = [c.strip() for c in lines[start].strip("|").split("|")]
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+        table[cells[0]] = dict(zip(header[1:], cells[1:]))
+    return table
+
+
+def test_readme_key_table_is_the_registry():
+    table = _readme_key_table()
+    assert list(table) == list(EXPERIMENTS)
+    for name, cells in table.items():
+        preset = EXPERIMENTS[name][2]
+        assert {key for key, cell in cells.items() if cell != "—"} == set(preset), name
+        for key, value in preset.items():
+            if callable(value):  # worked out from the other keys: the README names the rule
+                assert cells[key].startswith("derived:"), (name, key)
+            else:
+                assert json.loads(cells[key].replace("π", repr(math.pi))) == value, (name, key)
 
 
 def test_failed_manifest_write_keeps_the_previous_output(tmp_path, monkeypatch, capsys):
