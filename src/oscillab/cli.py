@@ -41,14 +41,13 @@ from .operators import (IOperatorSpec, PWord, apply_I, bernstein_draws, bernstei
                         sobolev_norm)
 from .solver import SolverConfig, evolve
 from .lab import (
-    QuadTuple,
     almost_orthogonality_scan,
     bilinear_min_K,
     derivative_bilinear_ratio,
     energy_increment_scan,
     fit_power_law,
-    identity_k1_residual,
     identity_residual_scan_1d,
+    identity_residual_tuples,
     norm_growth_experiment,
     time_node_count,
 )
@@ -113,10 +112,7 @@ def _as_float(key, v, positive=False):
 def _as_int_list(key, v):
     if not isinstance(v, (list, tuple)) or len(v) == 0:
         raise ConfigError(key, f"{key} must be a non-empty list of integers, got {v!r}")
-    out = []
-    for i, item in enumerate(v):
-        out.append(_as_int(f"{key}[{i}]", item, lo=1))
-    return out
+    return [_as_int(f"{key}[{i}]", item, lo=1) for i, item in enumerate(v)]
 
 
 def _as_output_dir(key, v):
@@ -345,36 +341,23 @@ def _run_identity_k1(resolved: dict, threads: int) -> DriverResult:
     if d == 1:  # K is capped by _resolve
         scan = identity_residual_scan_1d(K)
         mu = 2 * np.indices((K + 1,) * 4, dtype=np.int32).reshape(4, -1) + 1  # C order
-        cols = (*mu, *(scan[key].ravel() for key in ("L0", "rhs", "residual", "resonant")))
-        rows = []
-        for start in range(0, mu.shape[1], _CSV_BLOCK_ROWS):  # no whole-column lists at once
-            rows += zip(*(c[start:start + _CSV_BLOCK_ROWS].tolist() for c in cols))
-        nonres = ~scan["resonant"]
-        summary = {
-            "max_residual": float(np.nanmax(scan["residual"][nonres])),
-            "n_tuples": int(scan["residual"].size),
-            "n_resonant": int(scan["resonant"].sum()),
-            "exhaustive": True,
-        }
-        derived = {"Q": 2 * K + 2, "mu_sq_max": int(2 * K + 1)}
-        return DriverResult(columns, rows, summary, derived, [])
-    basis = HermiteBasis(d, K)
-    basis.rule, basis.values  # build tables before any parallel work
-
-    def cell(i):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 5, i)))
-        modes = [tuple(int(x) for x in rng.integers(0, K + 1, size=d)) for _ in range(4)]
-        qt = QuadTuple.from_modes(basis, *modes)
-        L0, rhs, residual = identity_k1_residual(qt)
-        return [*qt.mu_sqs, L0, rhs, residual, math.isnan(rhs)]
-
-    rows = _map_cells(cell, list(range(trials)), threads)
-    residuals = [row[6] for row in rows if not row[7]]
+    else:
+        modes = np.empty((trials, 4, d), dtype=np.int64)
+        for i in range(trials):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 5, i)))
+            modes[i] = [rng.integers(0, K + 1, size=d) for _ in range(4)]
+        scan = identity_residual_tuples(K, modes)
+        mu = scan["mu_sq"].T
+    cols = (*mu, *(scan[key].ravel() for key in ("L0", "rhs", "residual", "resonant")))
+    rows = []
+    for start in range(0, mu.shape[1], _CSV_BLOCK_ROWS):  # no whole-column lists at once
+        rows += zip(*(c[start:start + _CSV_BLOCK_ROWS].tolist() for c in cols))
+    residuals = scan["residual"][~scan["resonant"]]
     summary = {
-        "max_residual": max(residuals) if residuals else float("nan"),
-        "n_tuples": trials,
-        "n_resonant": sum(1 for row in rows if row[7]),
-        "exhaustive": False,
+        "max_residual": float(residuals.max()) if residuals.size else math.nan,
+        "n_tuples": int(scan["residual"].size),
+        "n_resonant": int(scan["resonant"].sum()),
+        "exhaustive": d == 1,
     }
     derived = {"Q": 2 * K + 2, "mu_sq_max": int(2 * d * K + d)}
     return DriverResult(columns, rows, summary, derived, [])

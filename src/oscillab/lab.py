@@ -3,7 +3,8 @@
 Contents:
 
 * quadrilinear integrals over eigenfield tuples and the k = 1 integration-by-parts
-  identity relating int e1 e2 e3 e4 to gradient-pair integrals;
+  identity relating int e1 e2 e3 e4 to gradient-pair integrals, over all 1-D tuples and
+  over sampled d >= 2 mode tuples as products of 1-D folded sums (no d-dim grid);
 * an almost-orthogonality sweep (decay of the quadrilinear form in the separated
   eigenvalue);
 * bilinear space-time measurements ||u_N v_M|| / (M^{(d-1)/2} N^{-1/2}) over random
@@ -45,9 +46,9 @@ __all__ = [
     "fit_power_law",
     "quad_L0",
     "quad_L1_plus_weight",
-    "identity_k1_residual",
     "verify_identity_k1",
     "identity_residual_scan_1d",
+    "identity_residual_tuples",
     "random_shell_field",
     "almost_orthogonality_scan",
     "bilinear_strichartz_ratio",
@@ -214,28 +215,29 @@ def quad_L1_plus_weight(qt: QuadTuple) -> tuple[float, float]:
     return _quad_terms(qt)[1:]
 
 
-def identity_k1_residual(qt: QuadTuple) -> tuple[float, float, float]:
-    """(L0, rhs, relative residual) of the k = 1 identity
-
-        L0 = -2 (L1 + Lx) / (mu1^2 - mu2^2 - mu3^2 - mu4^2);
-
-    rhs and the residual are nan on a resonant tuple (the denominator vanishes).
-    """
-    denom = qt.mu_sq_1 - qt.mu_sq_2 - qt.mu_sq_3 - qt.mu_sq_4
-    L0, L1, Lx = _quad_terms(qt)
-    if denom == 0:
-        return L0, math.nan, math.nan
-    rhs = -2.0 * (L1 + Lx) / denom
-    return L0, rhs, abs(L0 - rhs) / (abs(L0) + 1e-30)
-
-
 def verify_identity_k1(qt: QuadTuple) -> float:
-    """Relative residual of the k = 1 identity (identity_k1_residual); raises
-    ResonantTupleError when the denominator vanishes (integer-exact test)."""
-    _, rhs, residual = identity_k1_residual(qt)
-    if math.isnan(rhs):
+    """Relative residual |L0 - rhs| / |L0| of the k = 1 identity
+
+        L0 = rhs = -2 (L1 + Lx) / (mu1^2 - mu2^2 - mu3^2 - mu4^2);
+
+    raises ResonantTupleError when the denominator vanishes (integer-exact test)."""
+    denom = qt.mu_sq_1 - qt.mu_sq_2 - qt.mu_sq_3 - qt.mu_sq_4
+    if denom == 0:
         raise ResonantTupleError(f"resonant tuple: mu^2 = {qt.mu_sqs} (denominator vanishes)")
-    return residual
+    L0, L1, Lx = _quad_terms(qt)
+    rhs = -2.0 * (L1 + Lx) / denom
+    return abs(L0 - rhs) / (abs(L0) + 1e-30)
+
+
+def _half_tables(K: int):
+    """(A, D, Wh, X2) of HermiteBasis(1, K) on the negative half of its mirrored rule:
+    the values and the derivatives of h_0 .. h_K, the weights and the squared nodes."""
+    basis = HermiteBasis(1, K)
+    V = basis.values[: K + 2]  # one extra degree for gradients
+    half = basis.rule.size // 2
+    # h_k' = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}: the negated GRAD image of the rows
+    D = -_letter_image(V[:, :half], "GRAD", 0)[1][: K + 1]
+    return V[: K + 1, :half], D, basis.rule.weights[:half], basis.rule.nodes[:half] ** 2
 
 
 def identity_residual_scan_1d(K_max: int) -> dict:
@@ -246,41 +248,60 @@ def identity_residual_scan_1d(K_max: int) -> dict:
     are exactly zero on both sides.  Returns per-tuple L0, Lx, rhs, residuals and
     the resonance mask (resonant tuples carry residual NaN and are excluded).
     """
-    basis = HermiteBasis(1, K_max)
-    Q = basis.rule.size
-    W = basis.rule.weights
-    V = basis.values[: K_max + 2]  # one extra degree for gradients
-    half = Q // 2
-    # h_k' = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}: the negated GRAD image of the rows
-    D = -_letter_image(V[:, :half], "GRAD", 0)[1][: K_max + 1]
-    Wh = W[:half]
-    A = V[: K_max + 1, :half]
-    X2 = basis.rule.nodes[:half] ** 2
+    A, D, Wh, X2 = _half_tables(K_max)
     k_arange = np.arange(K_max + 1)
-    parity = np.where((k_arange[:, None, None, None] + k_arange[None, :, None, None]
-                       + k_arange[None, None, :, None] + k_arange[None, None, None, :]) % 2 == 0,
-                      2.0, 0.0)
+    k_pairs = np.add.outer(k_arange, k_arange)
+    parity = np.where(np.add.outer(k_pairs, k_pairs) % 2 == 0, 2.0, 0.0)
     L0 = np.einsum("ai,bi,ci,di,i->abcd", A, A, A, A, Wh, optimize=True) * parity
     Lx = np.einsum("ai,bi,ci,di,i->abcd", A, A, A, A, Wh * X2, optimize=True) * parity
     L1 = (np.einsum("ai,bi,ci,di,i->abcd", A, D, D, A, Wh, optimize=True)
           + np.einsum("ai,bi,ci,di,i->abcd", A, D, A, D, Wh, optimize=True)
           + np.einsum("ai,bi,ci,di,i->abcd", A, A, D, D, Wh, optimize=True)) * parity
     mu = 2 * k_arange + 1
-    denom = (mu[:, None, None, None] - mu[None, :, None, None]
-             - mu[None, None, :, None] - mu[None, None, None, :])
+    denom = np.subtract.outer(mu, np.add.outer(np.add.outer(mu, mu), mu))
     resonant = denom == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         rhs = -2.0 * (L1 + Lx) / denom
     residual = np.abs(L0 - rhs) / (np.abs(L0) + 1e-30)
     residual[resonant] = np.nan
-    return {
-        "L0": L0,
-        "Lx": Lx,
-        "rhs": rhs,
-        "residual": residual,
-        "resonant": resonant,
-        "K_max": K_max,
-    }
+    return {"L0": L0, "Lx": Lx, "rhs": rhs, "residual": residual, "resonant": resonant,
+            "K_max": K_max}
+
+
+_TUPLE_BLOCK = 1024  # tuples gathered at once by identity_residual_tuples
+
+
+def identity_residual_tuples(K: int, modes: np.ndarray) -> dict:
+    """k = 1 identity check on single-mode tuples, modes (T, 4, d) of degrees <= K.
+
+    Modes factorize over the axes, so per axis a the 1-D folded sums of the 1-D scan's
+    half-grid tables give E_a = int e1 e2 e3 e4, X_a (weight x_a^2) and B_a (the three
+    gradient pairs), and L0 = prod_a E_a, L1 and Lx = sum_a (B_a or X_a) prod_{b != a} E_b.
+    Blocks of _TUPLE_BLOCK tuples, each reduced by its own fixed-order row sum: no value
+    depends on the block size or on BLAS.  Returns mu_sq (T, 4) and per-tuple L0, L1,
+    Lx, rhs, residual and resonant."""
+    A, D, Wh, X2 = _half_tables(K)
+    T, _, d = modes.shape
+    E, X, B = np.empty((3, d, T))
+    for s in range(0, T, _TUPLE_BLOCK):
+        for a in range(d):
+            m = modes[s:s + _TUPLE_BLOCK, :, a].T
+            (a0, a1, a2, a3), (d1, d2, d3) = A[m], D[m[1:]]
+            even = m.sum(axis=0) % 2 == 0
+            p = a0 * a1 * a2 * a3
+            grads = d1 * d2 * a0 * a3 + d1 * d3 * a0 * a2 + d2 * d3 * a0 * a1
+            for out, f, w in ((E, p, Wh), (X, p, Wh * X2), (B, grads, Wh)):
+                out[a, s:s + _TUPLE_BLOCK] = np.where(even, 2.0 * (f * w).sum(axis=-1), 0.0)
+    rest = [np.prod(np.delete(E, a, axis=0), axis=0) for a in range(d)]
+    L0 = np.prod(E, axis=0) + 0.0  # + 0.0 turns a -0.0 into 0.0
+    L1, Lx = (sum(F[a] * rest[a] for a in range(d)) + 0.0 for F in (B, X))
+    mu_sq = 2 * modes.sum(axis=2) + d
+    denom = mu_sq[:, 0] - mu_sq[:, 1] - mu_sq[:, 2] - mu_sq[:, 3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs = np.where(denom == 0, np.nan, -2.0 * (L1 + Lx) / denom + 0.0)
+    residual = np.abs(L0 - rhs) / (np.abs(L0) + 1e-30)  # NaN where rhs is
+    return {"mu_sq": mu_sq, "L0": L0, "L1": L1, "Lx": Lx, "rhs": rhs,
+            "residual": residual, "resonant": denom == 0}
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +351,7 @@ def almost_orthogonality_scan(
             best = max(best, abs(quad_L0(qt)))
         kept.append(lam1)
         maxima.append(best)
-    fit = None
-    if len([y for y in maxima if y != 0.0]) >= 2:
-        fit = fit_power_law(kept, maxima)
+    fit = fit_power_law(kept, maxima) if np.count_nonzero(maxima) >= 2 else None
     return {
         "lambda1": np.array(kept),
         "max_abs_L0": np.array(maxima),
@@ -572,10 +591,8 @@ def energy_increment_scan(u0: SpectralField, s: float, N_list, cfg: SolverConfig
 
     diagnostics = run_recorded(u0, cfg, on_record)
     floor = sup_inc.pop(None)
-    fit = None
     ys = [sup_inc[N] for N in N_list]
-    if len([y for y in ys if y != 0.0]) >= 2:
-        fit = fit_power_law(N_list, ys)
+    fit = fit_power_law(N_list, ys) if np.count_nonzero(ys) >= 2 else None
     return {
         "N_list": N_list,
         "increments": sup_inc,

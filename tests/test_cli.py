@@ -11,6 +11,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -413,7 +414,8 @@ def test_threads_do_not_change_bytes(tmp_path):
 
 
 def test_sampled_identity_threads_do_not_change_bytes(tmp_path):
-    # d = 2 tuples: every cell synthesizes its own plane stack in its own buffers
+    # d = 2 tuples: one vectorized pass of 1-D folded sums, each tuple reduced by its own
+    # fixed-order row sum, so the pool size cannot reach the bytes
     text = "experiment = identity_k1\nd = 2\nK = 8\ntrials = 24\nseed = 5\n"
     cfg_path = _write(tmp_path, text)
     main(["run", cfg_path, "--output-dir", str(tmp_path / "t1"), "--threads", "1"])
@@ -421,6 +423,44 @@ def test_sampled_identity_threads_do_not_change_bytes(tmp_path):
     assert (tmp_path / "t1" / "results.csv").read_bytes() == (
         tmp_path / "t2" / "results.csv"
     ).read_bytes()
+
+
+def test_sampled_identity_rows_do_not_depend_on_trials(tmp_path):
+    # tuple i is drawn from SeedSequence((seed, 5, i)) and computed on its own
+    lines = {}
+    for trials in (24, 48):
+        text = f"experiment = identity_k1\nd = 2\nK = 8\ntrials = {trials}\nseed = 5\n"
+        out = tmp_path / str(trials)
+        assert main(["run", _write(tmp_path, text), "--output-dir", str(out)]) == 0
+        lines[trials] = (out / "results.csv").read_bytes().splitlines(keepends=True)
+    assert len(lines[48]) == 49
+    assert b"".join(lines[48][:25]) == b"".join(lines[24])
+
+
+def test_sampled_identity_writes_no_negative_zero(tmp_path):
+    # the d = 2 tuples of the scans benchmark: many are odd on one axis, and their L0 is
+    # the product of 0.0 with the other axis's integral, which may be negative
+    text = "experiment = identity_k1\nd = 2\nK = 32\ntrials = 512\nseed = 20260814\n"
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, text), "--output-dir", str(out)]) == 0
+    header, *rows = (out / "results.csv").read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    L0, rhs = header.split(",").index("L0"), header.split(",").index("rhs")
+    assert sum(row[L0] == "0.0" for row in cells) > 100
+    assert not any(row[L0] == "-0.0" or row[rhs] == "-0.0" for row in cells)
+
+
+def test_sampled_identity_memory_bounded(tmp_path):
+    # every term is a product of 1-D folded sums on the (K + 1)-node half grid: no
+    # tuple builds planes on the (2K + 2)^d grid
+    cfg = parse_config("experiment = identity_k1\nd = 3\nK = 48\ntrials = 8\nseed = 5\n")
+    tracemalloc.start()
+    try:
+        run(cfg, str(tmp_path / "o"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_seed_override_recorded(tmp_path):

@@ -575,3 +575,91 @@ def test_quad_terms_shell_fields_match_mode_sums():
                     c = math.prod(e.coeffs.real[tuple(m)] for e, m in zip(fields, (m1, m2, m3, m4)))
                     want += c * quad_L0(QuadTuple.from_modes(basis, m1, m2, m3, m4))
     assert lab._quad_terms(qt)[0] == pytest.approx(want, rel=1e-12, abs=1e-16)
+
+
+# ---------------------------------------------------------------------------
+# Sampled single-mode tuples as products of 1-D folded sums
+# ---------------------------------------------------------------------------
+
+def _draw_modes(d, K, n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, K + 1, size=(n, 4, d))
+
+
+def _exact_L0(modes, K):
+    """int h_m1 h_m2 h_m3 h_m4 dx per tuple, from numpy's Gauss-Hermite rule in
+    y = sqrt(2) x (exact for the degree <= 4K polynomial times e^{-2x^2}) and the
+    normalised recurrence for h_k(x) e^{x^2/2}, independent of oscillab's tables."""
+    y, w = np.polynomial.hermite.hermgauss(2 * K + 2)
+    x = y / math.sqrt(2.0)
+    P = np.zeros((K + 1, x.size))
+    P[0] = math.pi ** -0.25
+    P[1] = math.sqrt(2.0) * x * P[0]
+    for k in range(1, K):
+        P[k + 1] = math.sqrt(2.0 / (k + 1)) * x * P[k] - math.sqrt(k / (k + 1)) * P[k - 1]
+    w = w / math.sqrt(2.0)
+    return np.array([math.prod(float(np.sum(w * P[m[0, a]] * P[m[1, a]] * P[m[2, a]] * P[m[3, a]]))
+                               for a in range(m.shape[1])) for m in modes])
+
+
+@pytest.mark.parametrize("d, K", [(2, 24), (3, 12)])
+def test_identity_tuples_L0_matches_exact_reference(d, K):
+    modes = _draw_modes(d, K, 200, seed=d)
+    out = lab.identity_residual_tuples(K, modes)
+    assert np.abs(out["L0"] - _exact_L0(modes, K)).max() <= 1e-14
+    assert np.array_equal(out["mu_sq"], 2 * modes.sum(axis=2) + d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("d", [2, 3])
+def test_identity_tuples_match_quad_terms(d, data):
+    # the same tolerance as test_quad_terms_factorize_over_axes: an axis sum can cancel,
+    # so L1 and Lx are compared on the scale sum_a |axis term a|
+    tuples = data.draw(st.lists(_tuple_modes(d), min_size=1, max_size=6))
+    out = lab.identity_residual_tuples(_SCAN_K, np.array(tuples))
+    axis_basis, basis = HermiteBasis(1, _SCAN_K), HermiteBasis(d, _SCAN_K)
+    for t, modes in enumerate(tuples):
+        qt = QuadTuple.from_modes(basis, *modes)
+        L0, L1, Lx = lab._quad_terms(qt)
+        per_axis = [lab._quad_terms(QuadTuple.from_modes(axis_basis, *[(m[a],) for m in modes]))
+                    for a in range(d)]
+        rest = [math.prod(abs(per_axis[b][0]) for b in range(d) if b != a) for a in range(d)]
+        scale_L1 = sum(abs(per_axis[a][1]) * rest[a] for a in range(d))
+        scale_Lx = sum(abs(per_axis[a][2]) * rest[a] for a in range(d))
+        assert out["L0"][t] == pytest.approx(L0, rel=1e-13, abs=1e-18)
+        assert out["L1"][t] == pytest.approx(L1, rel=1e-13, abs=1e-13 * scale_L1)
+        assert out["Lx"][t] == pytest.approx(Lx, rel=1e-13, abs=1e-13 * scale_Lx)
+        assert tuple(out["mu_sq"][t]) == qt.mu_sqs
+        assert out["resonant"][t] == (qt.mu_sq_1 - qt.mu_sq_2 - qt.mu_sq_3 - qt.mu_sq_4 == 0)
+
+
+def test_identity_tuples_do_not_depend_on_the_block_size(monkeypatch):
+    modes = _draw_modes(3, 10, 50, seed=4)
+    whole = lab.identity_residual_tuples(10, modes)
+    monkeypatch.setattr(lab, "_TUPLE_BLOCK", 7)
+    blocked = lab.identity_residual_tuples(10, modes)
+    for key, value in whole.items():
+        assert value.tobytes() == blocked[key].tobytes(), key
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("d", [2, 3])
+def test_identity_tuples_single_axis_odd_is_positive_zero(d, data):
+    modes = [list(m) for m in data.draw(_tuple_modes(d))]
+    axis = data.draw(st.integers(min_value=0, max_value=d - 1))
+    if sum(m[axis] for m in modes) % 2 == 0:  # make the degree sum on `axis` odd
+        modes[0][axis] += 1 if modes[0][axis] < _SCAN_K else -1
+    out = lab.identity_residual_tuples(_SCAN_K, np.array([modes]))
+    for key in ("L0", "L1", "Lx") + (() if out["resonant"][0] else ("rhs",)):
+        assert out[key][0] == 0.0 and not np.signbit(out[key][0]), key
+
+
+def test_identity_tuples_odd_axis_times_negative_axis_is_positive_zero():
+    # axis 0 is odd, axis 1 integrates to int h0^3 h2 < 0: the product is -0.0 unless
+    # the signed zero is normalized
+    assert _scan_1d()["L0"][0, 0, 0, 2] < 0.0
+    out = lab.identity_residual_tuples(_SCAN_K, np.array([[(1, 0), (0, 0), (0, 0), (0, 2)]]))
+    for key in ("L0", "L1", "Lx", "rhs", "residual"):
+        assert out[key][0] == 0.0 and not np.signbit(out[key][0]), key
