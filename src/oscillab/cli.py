@@ -15,7 +15,9 @@ two files into the output directory:
 
 Determinism: all randomness derives from per-cell ``SeedSequence((seed, tags...))``
 streams and parallel cells are merged by index, so ``--threads`` (or the
-OSCILLAB_THREADS environment variable) never changes the output bytes.
+OSCILLAB_THREADS environment variable) never changes the output bytes.  The BLAS
+thread count can: identity_k1 runs no BLAS matrix product, but the bilinear experiments'
+GEMMs give bits that depend on it, and the solver experiments run GEMMs too.
 
 Exit codes: 0 success, 1 error (bad config / runtime failure), 2 completed but
 tainted (e.g. solver spillage above tolerance).
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -46,7 +49,6 @@ from .lab import (
     derivative_bilinear_ratio,
     energy_increment_scan,
     fit_power_law,
-    identity_residual_scan_1d,
     identity_residual_tuples,
     norm_growth_experiment,
     time_node_count,
@@ -247,8 +249,7 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 @dataclass
 class DriverResult:
-    columns: list
-    rows: list
+    table: dict  # column name -> numpy array or list, in CSV order
     summary: dict
     derived: dict
     taints: list
@@ -263,6 +264,16 @@ def _map_cells(fn, cells, threads: int):
         return list(pool.map(fn, cells))
 
 
+def _csv_field(text: str) -> str:
+    """text as a field of a CSV row: quoted by the csv module when it holds a comma, a
+    quote or a line break, else as it is."""
+    if not any(c in text for c in ',"\r\n'):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+
+
 def _fmt_cell(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return str(bool(v))
@@ -270,7 +281,7 @@ def _fmt_cell(v) -> str:
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    return str(v)
+    return _csv_field(str(v))
 
 
 def _fmt_column(col) -> list[str]:
@@ -279,7 +290,7 @@ def _fmt_column(col) -> list[str]:
     kinds = set(map(type, col))
     if kinds == {float}:
         return list(map(repr, col))
-    if len(kinds) == 1 and kinds <= {int, bool, str}:
+    if len(kinds) == 1 and kinds <= {int, bool}:
         return list(map(str, col))
     return [_fmt_cell(v) for v in col]
 
@@ -287,14 +298,20 @@ def _fmt_column(col) -> list[str]:
 _CSV_BLOCK_ROWS = 1024
 
 
-def _write_csv(path: str, columns, rows) -> None:
-    """Write the table in blocks of rows, formatted column by column."""
+def _write_csv(path: str, table: dict) -> int:
+    """Write the table (column name -> column) in blocks of _CSV_BLOCK_ROWS rows, each
+    column block formatted once; returns the number of rows."""
+    lengths = {len(col) for col in table.values()}
+    if len(lengths) != 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    (n_rows,) = lengths
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(columns)
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
-            writer.writerows(zip(*map(_fmt_column, zip(*block))))
+        f.write(",".join(map(_csv_field, table)) + "\n")
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = (col[start:start + _CSV_BLOCK_ROWS] for col in table.values())
+            cells = [_fmt_column(b.tolist() if isinstance(b, np.ndarray) else b) for b in block]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    return n_rows
 
 
 def _jsonable(obj):
@@ -337,21 +354,16 @@ def _word_label(word: PWord) -> str:
 
 def _run_identity_k1(resolved: dict, threads: int) -> DriverResult:
     d, K, seed, trials = resolved["d"], resolved["K"], resolved["seed"], resolved["trials"]
-    columns = ["mu_sq_1", "mu_sq_2", "mu_sq_3", "mu_sq_4", "L0", "rhs", "residual", "resonant"]
-    if d == 1:  # K is capped by _resolve
-        scan = identity_residual_scan_1d(K)
-        mu = 2 * np.indices((K + 1,) * 4, dtype=np.int32).reshape(4, -1) + 1  # C order
+    if d == 1:  # every tuple, in C order; K is capped by _resolve
+        modes = np.indices((K + 1,) * 4).reshape(4, -1).T[..., None]
     else:
         modes = np.empty((trials, 4, d), dtype=np.int64)
         for i in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence((seed, 5, i)))
             modes[i] = [rng.integers(0, K + 1, size=d) for _ in range(4)]
-        scan = identity_residual_tuples(K, modes)
-        mu = scan["mu_sq"].T
-    cols = (*mu, *(scan[key].ravel() for key in ("L0", "rhs", "residual", "resonant")))
-    rows = []
-    for start in range(0, mu.shape[1], _CSV_BLOCK_ROWS):  # no whole-column lists at once
-        rows += zip(*(c[start:start + _CSV_BLOCK_ROWS].tolist() for c in cols))
+    scan = identity_residual_tuples(K, modes)
+    table = {f"mu_sq_{i}": mu for i, mu in enumerate(scan["mu_sq"].T, start=1)}
+    table.update((key, scan[key]) for key in ("L0", "rhs", "residual", "resonant"))
     residuals = scan["residual"][~scan["resonant"]]
     summary = {
         "max_residual": float(residuals.max()) if residuals.size else math.nan,
@@ -360,7 +372,7 @@ def _run_identity_k1(resolved: dict, threads: int) -> DriverResult:
         "exhaustive": d == 1,
     }
     derived = {"Q": 2 * K + 2, "mu_sq_max": int(2 * d * K + d)}
-    return DriverResult(columns, rows, summary, derived, [])
+    return DriverResult(table, summary, derived, [])
 
 
 def _run_orthogonality(resolved: dict, threads: int) -> DriverResult:
@@ -372,19 +384,16 @@ def _run_orthogonality(resolved: dict, threads: int) -> DriverResult:
     res = almost_orthogonality_scan(
         basis, lambda1_list, *trio, trials=trials, seed=seed, C0=_ORTHO_C0
     )
-    rows = [
-        [int(round(lam * lam)), float(val)]
-        for lam, val in zip(res["lambda1"], res["max_abs_L0"])
-    ]
-    columns = ["lambda1_sq", "max_abs_L0"]
+    table = {"lambda1_sq": np.rint(res["lambda1"] ** 2).astype(int),
+             "max_abs_L0": res["max_abs_L0"]}
     summary = {
         "fit": _fit_summary(res["fit"]),
         "slope": res["fit"].slope if res["fit"] is not None else float("nan"),
-        "n_admissible": len(rows),
+        "n_admissible": len(res["lambda1"]),
         "empty_window": bool(res["empty"]),
     }
     derived = {"C0": _ORTHO_C0, "trio_mu_sq": [d, d, d], "Q": 2 * K + 2}
-    return DriverResult(columns, rows, summary, derived, [])
+    return DriverResult(table, summary, derived, [])
 
 
 def _bilinear_K(resolved: dict, word_a: PWord) -> int:
@@ -409,11 +418,10 @@ def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
         )
 
     results = _map_cells(cell, cells, threads)
-    columns = ["N", "M", "trial", "raw_norm", "ratio"]
-    rows = []
-    for (N, M), res in zip(cells, results):
-        for i, (raw, ratio) in enumerate(zip(res["raws"], res["ratios"])):
-            rows.append([N, M, i, float(raw), float(ratio)])
+    N_col, M_col = np.repeat(cells, trials, axis=0).T
+    table = {"N": N_col, "M": M_col, "trial": np.tile(np.arange(trials), len(cells)),
+             "raw_norm": np.concatenate([res["raws"] for res in results]),
+             "ratio": np.concatenate([res["ratios"] for res in results])}
     by_cell = {nm: res for nm, res in zip(cells, results)}
     per_M = {}
     for M in M_list:
@@ -438,7 +446,7 @@ def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
         "time_nodes_max": time_node_count(T, max(N_list)),
         "normalization_by_cell": {f"N={N},M={M}": by_cell[(N, M)]["normalization"] for (N, M) in cells},
     }
-    return DriverResult(columns, rows, summary, derived, [])
+    return DriverResult(table, summary, derived, [])
 
 
 def _bernstein_K(resolved: dict) -> int:
@@ -467,8 +475,8 @@ def _run_bernstein(resolved: dict, threads: int) -> DriverResult:
         return bernstein_ratio(basis, word, N, trials, seed, draws[N])
 
     ratios = _map_cells(cell, cells, threads)
-    columns = ["N", "word", "ratio"]
-    rows = [[N, label, float(r)] for (label, _, N), r in zip(cells, ratios)]
+    table = {"N": [N for _, _, N in cells], "word": [label for label, _, _ in cells],
+             "ratio": ratios}
     per_word = {}
     Ns = sorted({int(N) for N in N_list})
     for label, _ in words:
@@ -487,7 +495,7 @@ def _run_bernstein(resolved: dict, threads: int) -> DriverResult:
         "n_words": len(words),
     }
     derived = {"K": K, "K_needed": _bernstein_K(resolved), "window_sizes": window_sizes}
-    return DriverResult(columns, rows, summary, derived, [])
+    return DriverResult(table, summary, derived, [])
 
 
 def _decaying_body(basis: HermiteBasis, rng, decay: float, degree_cut: int) -> np.ndarray:
@@ -526,8 +534,7 @@ def _run_energy_increment(resolved: dict, threads: int) -> DriverResult:
     cfg = SolverConfig(dt=dt, T=T, record_every=_INC_RECORD_EVERY)
     res = energy_increment_scan(u0, s, N_list, cfg)
     Ns = [int(N) for N in N_list]
-    rows = [[N, float(res["increments"][N])] for N in Ns]
-    columns = ["N", "sup_increment"]
+    table = {"N": Ns, "sup_increment": [res["increments"][N] for N in Ns]}
     incs = [res["increments"][N] for N in sorted(Ns)]
     strictly_decreasing = all(a > b for a, b in zip(incs, incs[1:]))
     fit = res["fit"]
@@ -558,7 +565,7 @@ def _run_energy_increment(resolved: dict, threads: int) -> DriverResult:
         "Q": 2 * K + 2,
     }
     taints = ["solver_spillage"] if res["diagnostics"]["tainted"] else []
-    return DriverResult(columns, rows, summary, derived, taints)
+    return DriverResult(table, summary, derived, taints)
 
 
 def _growth_datum(basis: HermiteBasis, seed: int, s: float) -> SpectralField:
@@ -575,12 +582,10 @@ def _run_norm_growth(resolved: dict, threads: int) -> DriverResult:
     u0 = _growth_datum(basis, seed, s)
     cfg = SolverConfig(dt=dt, T=T, record_every=_GROWTH_RECORD_EVERY)
     res = norm_growth_experiment(u0, s, cfg)
-    columns = ["branch", "t", "hs_norm", "running_max"]
-    rows = []
-    for branch in ("nonlinear", "linear"):
-        br = res[branch]
-        for t, hs, rm in zip(br["times"], br["hs_norms"], br["running_max"]):
-            rows.append([branch, float(t), float(hs), float(rm)])
+    branches = ("nonlinear", "linear")
+    table = {"branch": np.repeat(branches, [res[b]["times"].size for b in branches])}
+    for column, key in (("t", "times"), ("hs_norm", "hs_norms"), ("running_max", "running_max")):
+        table[column] = np.concatenate([res[b][key] for b in branches])
     summary = {
         "exponent_nonlinear": res["nonlinear"]["exponent"],
         "exponent_linear": res["linear"]["exponent"],
@@ -597,7 +602,7 @@ def _run_norm_growth(resolved: dict, threads: int) -> DriverResult:
                   "hs_norm": _GROWTH_HS_NORM},
         "Q": 2 * K + 2,
     }
-    return DriverResult(columns, rows, summary, derived, taints)
+    return DriverResult(table, summary, derived, taints)
 
 
 def _conservation_datum(basis: HermiteBasis, seed: int) -> SpectralField:
@@ -614,12 +619,9 @@ def _run_conservation(resolved: dict, threads: int) -> DriverResult:
     u0 = _conservation_datum(basis, seed)
     cfg = SolverConfig(dt=dt, T=T, record_every=_CONS_RECORD_EVERY)
     reports, diagnostics = evolve(u0, cfg, ispec=None, s_values=(float(s),))
-    columns = ["t", "mass", "energy", "modified_energy", "hs_norm_s"]
-    rows = [
-        [float(r.t), float(r.mass), float(r.energy), float(r.modified_energy),
-         float(r.hs_norms[float(s)])]
-        for r in reports
-    ]
+    table = {key: np.array([getattr(r, key) for r in reports], dtype=float)
+             for key in ("t", "mass", "energy", "modified_energy")}
+    table["hs_norm_s"] = np.array([r.hs_norms[float(s)] for r in reports], dtype=float)
     mass0, e0 = reports[0].mass, reports[0].energy
     mass_drift_rel = max(abs(r.mass - mass0) for r in reports) / mass0
     energy_drift = max(abs(r.energy - e0) for r in reports)
@@ -635,7 +637,7 @@ def _run_conservation(resolved: dict, threads: int) -> DriverResult:
         "Q": 2 * K + 2,
     }
     taints = ["solver_spillage"] if diagnostics["tainted"] else []
-    return DriverResult(columns, rows, summary, derived, taints)
+    return DriverResult(table, summary, derived, taints)
 
 
 def _bilinear_row(word_a: PWord, description: str) -> tuple:
@@ -685,10 +687,10 @@ def run(cfg: ExperimentConfig, output_dir: str | None = None,
     final = {name: os.path.join(out_dir, name) for name in ("results.csv", "manifest.json")}
     tmp = {name: f"{path}.{os.getpid()}.tmp" for name, path in final.items()}
     try:
-        _write_csv(tmp["results.csv"], result.columns, result.rows)
+        n_rows = _write_csv(tmp["results.csv"], result.table)
         manifest = {
             "config_echo": cfg.raw_text,
-            "csv_columns": result.columns,
+            "csv_columns": list(result.table),
             "defaults_applied": defaults_applied,
             "derived": result.derived,
             "experiment": cfg.experiment,
@@ -708,7 +710,7 @@ def run(cfg: ExperimentConfig, output_dir: str | None = None,
         for path in filter(os.path.exists, tmp.values()):
             os.remove(path)
     print(
-        f"{cfg.experiment}: wrote {len(result.rows)} rows to {out_dir}/results.csv"
+        f"{cfg.experiment}: wrote {n_rows} rows to {out_dir}/results.csv"
         + (f" [tainted: {', '.join(result.taints)}]" if result.taints else "")
     )
     return 2 if result.taints else 0

@@ -3,8 +3,9 @@
 Contents:
 
 * quadrilinear integrals over eigenfield tuples and the k = 1 integration-by-parts
-  identity relating int e1 e2 e3 e4 to gradient-pair integrals, over all 1-D tuples and
-  over sampled d >= 2 mode tuples as products of 1-D folded sums (no d-dim grid);
+  identity relating int e1 e2 e3 e4 to gradient-pair integrals.  Every identity check
+  (all 1-D tuples, or sampled d >= 2 mode tuples) takes one path: products of 1-D
+  folded sums, each a fixed-order row sum, with no d-dim grid and no BLAS GEMM;
 * an almost-orthogonality sweep (decay of the quadrilinear form in the separated
   eigenvalue);
 * bilinear space-time measurements ||u_N v_M|| / (M^{(d-1)/2} N^{-1/2}) over random
@@ -15,7 +16,8 @@ Contents:
 Parity is handled exactly: a tuple whose degree sum is odd on any one axis
 integrates to 0.0 bitwise.  Node tables mirror exactly under x_j -> -x_j, and the
 quadrature sum folds each axis in turn onto its nonnegative half, so the mirror of
-every single axis cancels, not only the full mirror x -> -x.
+every single axis cancels, not only the full mirror x -> -x.  The identity's tuple
+sums set an axis with an odd degree sum to 0.0 outright.
 
 The bilinear measurements tensorize per axis.  On each axis the kernel first bounds
 v's support from the coefficients alone, evaluates v only there, and runs the
@@ -241,30 +243,13 @@ def _half_tables(K: int):
 
 
 def identity_residual_scan_1d(K_max: int) -> dict:
-    """Exhaustive k = 1 identity check over all 1-D tuples with degrees <= K_max.
-
-    Fully vectorized: builds the quadrilinear tensors with einsum over the half
-    grid and applies the exact parity factor (1 + (-1)^{a+b+c+d}), so odd tuples
-    are exactly zero on both sides.  Returns per-tuple L0, Lx, rhs, residuals and
-    the resonance mask (resonant tuples carry residual NaN and are excluded).
-    """
-    A, D, Wh, X2 = _half_tables(K_max)
-    k_arange = np.arange(K_max + 1)
-    k_pairs = np.add.outer(k_arange, k_arange)
-    parity = np.where(np.add.outer(k_pairs, k_pairs) % 2 == 0, 2.0, 0.0)
-    L0 = np.einsum("ai,bi,ci,di,i->abcd", A, A, A, A, Wh, optimize=True) * parity
-    Lx = np.einsum("ai,bi,ci,di,i->abcd", A, A, A, A, Wh * X2, optimize=True) * parity
-    L1 = (np.einsum("ai,bi,ci,di,i->abcd", A, D, D, A, Wh, optimize=True)
-          + np.einsum("ai,bi,ci,di,i->abcd", A, D, A, D, Wh, optimize=True)
-          + np.einsum("ai,bi,ci,di,i->abcd", A, A, D, D, Wh, optimize=True)) * parity
-    mu = 2 * k_arange + 1
-    denom = np.subtract.outer(mu, np.add.outer(np.add.outer(mu, mu), mu))
-    resonant = denom == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = -2.0 * (L1 + Lx) / denom
-    residual = np.abs(L0 - rhs) / (np.abs(L0) + 1e-30)
-    residual[resonant] = np.nan
-    return {"L0": L0, "Lx": Lx, "rhs": rhs, "residual": residual, "resonant": resonant,
+    """Exhaustive k = 1 identity check over all 1-D tuples with degrees <= K_max:
+    identity_residual_tuples on the (K_max + 1)^4 tuples in C order, each output
+    shaped (K_max + 1,) * 4 and indexed by the tuple's degrees.  Returns per-tuple L0,
+    Lx, rhs, residuals and the resonance mask (resonant tuples carry residual NaN)."""
+    shape = (K_max + 1,) * 4
+    out = identity_residual_tuples(K_max, np.indices(shape).reshape(4, -1).T[..., None])
+    return {**{key: out[key].reshape(shape) for key in ("L0", "Lx", "rhs", "residual", "resonant")},
             "K_max": K_max}
 
 
@@ -274,8 +259,8 @@ _TUPLE_BLOCK = 1024  # tuples gathered at once by identity_residual_tuples
 def identity_residual_tuples(K: int, modes: np.ndarray) -> dict:
     """k = 1 identity check on single-mode tuples, modes (T, 4, d) of degrees <= K.
 
-    Modes factorize over the axes, so per axis a the 1-D folded sums of the 1-D scan's
-    half-grid tables give E_a = int e1 e2 e3 e4, X_a (weight x_a^2) and B_a (the three
+    Modes factorize over the axes, so per axis a the 1-D folded sums of the half-grid
+    tables give E_a = int e1 e2 e3 e4, X_a (weight x_a^2) and B_a (the three
     gradient pairs), and L0 = prod_a E_a, L1 and Lx = sum_a (B_a or X_a) prod_{b != a} E_b.
     Blocks of _TUPLE_BLOCK tuples, each reduced by its own fixed-order row sum: no value
     depends on the block size or on BLAS.  Returns mu_sq (T, 4) and per-tuple L0, L1,

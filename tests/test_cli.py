@@ -10,6 +10,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -450,6 +452,38 @@ def test_sampled_identity_writes_no_negative_zero(tmp_path):
     assert not any(row[L0] == "-0.0" or row[rhs] == "-0.0" for row in cells)
 
 
+def test_exhaustive_identity_writes_no_negative_zero(tmp_path):
+    # the d = 1 preset: an odd tuple's L0 and rhs are zeros set by parity and read 0.0
+    # (every resonant tuple is odd, and its rhs is nan)
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, "experiment = identity_k1\nseed = 1\n"),
+                 "--output-dir", str(out)]) == 0
+    header, *rows = (out / "results.csv").read_text().splitlines()
+    L0, rhs = header.split(",").index("L0"), header.split(",").index("rhs")
+    cells = [row.split(",") for row in rows]
+    odd = [sum(int(mu) // 2 for mu in row[:4]) % 2 == 1 for row in cells]
+    assert len(cells) == 17 ** 4 and sum(odd) == (17 ** 4 - 1) // 2
+    assert all(row[L0] == "0.0" and row[rhs] in ("0.0", "nan")
+               for row, is_odd in zip(cells, odd) if is_odd)
+    assert not any(row[L0] == "-0.0" or row[rhs] == "-0.0" for row in cells)
+
+
+def test_identity_preset_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the preset, K = 16: a BLAS-backed d = 1 scan gave equal bytes under both settings
+    # at K = 6, 8 and 12 and differed only at K = 16
+    cfg_path = _write(tmp_path, "experiment = identity_k1\nseed = 20260814\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    csv_bytes = {}
+    for n in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": n,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "oscillab", "run", cfg_path, "--threads", "1",
+                        "--output-dir", str(tmp_path / n)],
+                       env=env, check=True, capture_output=True, timeout=600)
+        csv_bytes[n] = (tmp_path / n / "results.csv").read_bytes()
+    assert csv_bytes["1"] == csv_bytes["2"]
+
+
 def test_sampled_identity_memory_bounded(tmp_path):
     # every term is a product of 1-D folded sums on the (K + 1)-node half grid: no
     # tuple builds planes on the (2K + 2)^d grid
@@ -584,8 +618,17 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
     rows[-1] = [np.int64(7), np.float64(0.1), np.bool_(False), "plain", 2]
     rows[-2][4] = 2.5
     columns = ["i", "x", "flag", "label", "mixed"]
-    _write_csv(str(tmp_path / "new.csv"), columns, rows)
-    _reference_write_csv(str(tmp_path / "ref.csv"), columns, rows)
+    table = dict(zip(columns, map(list, zip(*rows))))
+    # numpy array columns, as the drivers hand them over
+    table["i32"] = np.arange(n, dtype=np.int32) - 500
+    table["i64"] = rng.integers(-2 ** 62, 2 ** 62, n)
+    table["f"] = x[::-1].copy()
+    table["b"] = x > 0
+    rows = list(zip(*table.values()))
+    _write_csv(str(tmp_path / "new.csv"), table)
+    _reference_write_csv(str(tmp_path / "ref.csv"), list(table), rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    _write_csv(str(tmp_path / "empty.csv"), columns, [])
+    _write_csv(str(tmp_path / "empty.csv"), {name: [] for name in columns})
     assert (tmp_path / "empty.csv").read_text() == "i,x,flag,label,mixed\n"
+    with pytest.raises(ValueError, match="unequal lengths"):
+        _write_csv(str(tmp_path / "ragged.csv"), {"i": [1, 2], "x": [0.5]})

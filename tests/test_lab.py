@@ -10,6 +10,7 @@ L0 = -2 (L1 + Lx) / (-2) = L1 + Lx.  The bilinear ground-pair norm over
 """
 
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -132,6 +133,16 @@ def test_identity_scan_matches_quad_tuple_route():
     for modes in [(0, 0, 0, 0), (2, 2, 0, 0), (4, 2, 2, 4), (6, 1, 1, 2)]:
         qt = QuadTuple.from_modes(basis, *[(k,) for k in modes])
         assert quad_L0(qt) == pytest.approx(scan["L0"][modes], rel=1e-13, abs=1e-18)
+
+
+def test_identity_scan_is_the_tuple_path_on_c_order_tuples():
+    K = 6
+    scan = identity_residual_scan_1d(K)
+    modes = np.array(list(itertools.product(range(K + 1), repeat=4)))[..., None]
+    tuples = lab.identity_residual_tuples(K, modes)
+    for key in ("L0", "Lx", "rhs", "residual", "resonant"):
+        assert scan[key].shape == (K + 1,) * 4
+        assert scan[key].tobytes() == tuples[key].tobytes(), key
 
 
 def test_random_shell_field_lives_on_shell():
