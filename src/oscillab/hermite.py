@@ -369,9 +369,9 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def _pass_buffers(d: int, k: int, m: int, planes: int = 2, dtype=float) -> list[np.ndarray]:
+def _pass_buffers(d: int, k: int, m: int, planes: int = 2) -> list[np.ndarray]:
     """Output buffers of the d passes of _contract_planes: (k,)*d planes to (m,)*d."""
-    return [np.empty((planes,) + (m,) * (j + 1) + (k,) * (d - j - 1), dtype) for j in range(d)]
+    return [np.empty((planes,) + (m,) * (j + 1) + (k,) * (d - j - 1)) for j in range(d)]
 
 
 def _contract_planes(x: np.ndarray, table: np.ndarray, outs: list[np.ndarray]) -> np.ndarray:

@@ -176,8 +176,6 @@ def _quad_terms(qt: QuadTuple, gradients: bool = True) -> tuple[float, float, fl
     The four fields and their 4 d gradients, zero-padded to degree K + 1 on every
     axis, are stacked as real planes and synthesized by one _contract_planes call.
     With gradients=False only the four fields are synthesized and L1 = Lx = 0.0.
-    All of it runs in np.longdouble: the grid rounds each node on its own, so in double
-    its roundoff would scale with the product of the axes' absolute node sums.
     """
     basis = qt.e1.basis
     d, n = basis.d, basis.K + 2
@@ -188,17 +186,16 @@ def _quad_terms(qt: QuadTuple, gradients: bool = True) -> tuple[float, float, fl
         tmp = np.empty_like(x[:4])
         for ax in range(d):  # planes 4 (ax + 1) .. 4 (ax + 2) - 1: d/dx_ax of the fields
             _apply_letter(x[:4], x[4 * (ax + 1):4 * (ax + 2)], tmp, "GRAD", ax + 1)
-    ld = np.longdouble
-    table = basis.values[:n].T.astype(ld)
-    g = _contract_planes(x.astype(ld), table, _pass_buffers(d, n, basis.rule.size, x.shape[0], ld))
+    table = np.ascontiguousarray(basis.values[:n].T)
+    g = _contract_planes(x, table, _pass_buffers(d, n, basis.rule.size, x.shape[0]))
     L0 = _folded_rule_sum(g[0] * g[1] * g[2] * g[3], basis)
     if not gradients:
         return L0, 0.0, 0.0
-    L1 = _folded_rule_sum(sum(g[4 * (ax + 1) + a] * g[4 * (ax + 1) + b] * g[c_] * g[d_]
-                              for (a, b), (c_, d_) in (((1, 2), (0, 3)), ((1, 3), (0, 2)),
-                                                       ((2, 3), (0, 1)))
-                              for ax in range(d)), basis)
-    xsq = nodes_sq = basis.rule.nodes.astype(ld) ** 2
+    L1 = 0.0
+    for (a, b), (c_, d_) in (((1, 2), (0, 3)), ((1, 3), (0, 2)), ((2, 3), (0, 1))):
+        dot = sum(g[4 * (ax + 1) + a] * g[4 * (ax + 1) + b] for ax in range(d))
+        L1 += _folded_rule_sum(dot * g[c_] * g[d_], basis)
+    xsq = nodes_sq = basis.rule.nodes ** 2
     for _ in range(d - 1):
         xsq = np.add.outer(xsq, nodes_sq)
     Lx = _folded_rule_sum(xsq * g[0] * g[1] * g[2] * g[3], basis)
@@ -236,15 +233,13 @@ def verify_identity_k1(qt: QuadTuple) -> float:
 
 def _half_tables(K: int):
     """(A, D, Wh, X2) of HermiteBasis(1, K) on the negative half of its mirrored rule:
-    the values and the derivatives of h_0 .. h_K, the weights and the squared nodes,
-    in np.longdouble (the double tables, widened)."""
+    the values and the derivatives of h_0 .. h_K, the weights and the squared nodes."""
     basis = HermiteBasis(1, K)
+    V = basis.values[: K + 2]  # one extra degree for gradients
     half = basis.rule.size // 2
-    V = basis.values[: K + 2, :half].astype(np.longdouble)  # one extra degree for gradients
     # h_k' = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}: the negated GRAD image of the rows
-    D = -_letter_image(V, "GRAD", 0)[1][: K + 1]
-    nodes = basis.rule.nodes[:half].astype(np.longdouble)
-    return V[: K + 1], D, basis.rule.weights[:half].astype(np.longdouble), nodes ** 2
+    D = -_letter_image(V[:, :half], "GRAD", 0)[1][: K + 1]
+    return V[: K + 1, :half], D, basis.rule.weights[:half], basis.rule.nodes[:half] ** 2
 
 
 def identity_residual_scan_1d(K_max: int) -> dict:
@@ -267,28 +262,21 @@ def identity_residual_tuples(K: int, modes: np.ndarray) -> dict:
     Modes factorize over the axes, so per axis a the 1-D folded sums of the half-grid
     tables give E_a = int e1 e2 e3 e4, X_a (weight x_a^2) and B_a (the three
     gradient pairs), and L0 = prod_a E_a, L1 and Lx = sum_a (B_a or X_a) prod_{b != a} E_b.
-    Per axis each distinct (m1, sorted (m2, m3, m4)) is summed once, in blocks of
-    _TUPLE_BLOCK, each reduced by its own fixed-order row sum: no value depends on the
-    block size or on BLAS.  Sums run in np.longdouble, as an axis sum can cancel far
-    below its absolute node sum.  Returns mu_sq (T, 4) and per-tuple L0, L1, Lx, rhs,
-    residual (double) and resonant."""
+    Blocks of _TUPLE_BLOCK tuples, each reduced by its own fixed-order row sum: no value
+    depends on the block size or on BLAS.  Returns mu_sq (T, 4) and per-tuple L0, L1,
+    Lx, rhs, residual and resonant."""
     A, D, Wh, X2 = _half_tables(K)
     T, _, d = modes.shape
-    E, X, B = np.empty((3, d, T), np.longdouble)
-    for a in range(d):
-        deg = np.hstack([modes[:, :1, a], np.sort(modes[:, 1:, a], axis=1)]).T
-        keys, inverse = np.unique(np.ravel_multi_index(deg, (K + 1,) * 4), return_inverse=True)
-        rows = np.array(np.unravel_index(keys, (K + 1,) * 4))
-        sums = np.empty((3, rows.shape[1]), np.longdouble)
-        for s in range(0, rows.shape[1], _TUPLE_BLOCK):
-            m = rows[:, s:s + _TUPLE_BLOCK]
+    E, X, B = np.empty((3, d, T))
+    for s in range(0, T, _TUPLE_BLOCK):
+        for a in range(d):
+            m = modes[s:s + _TUPLE_BLOCK, :, a].T
             (a0, a1, a2, a3), (d1, d2, d3) = A[m], D[m[1:]]
             even = m.sum(axis=0) % 2 == 0
             p = a0 * a1 * a2 * a3
             grads = d1 * d2 * a0 * a3 + d1 * d3 * a0 * a2 + d2 * d3 * a0 * a1
-            for out, f, w in zip(sums[:, s:s + _TUPLE_BLOCK], (p, p, grads), (Wh, Wh * X2, Wh)):
-                out[:] = np.where(even, 2.0 * (f * w).sum(axis=-1), 0.0)
-        E[a], X[a], B[a] = sums[:, inverse]
+            for out, f, w in ((E, p, Wh), (X, p, Wh * X2), (B, grads, Wh)):
+                out[a, s:s + _TUPLE_BLOCK] = np.where(even, 2.0 * (f * w).sum(axis=-1), 0.0)
     rest = [np.prod(np.delete(E, a, axis=0), axis=0) for a in range(d)]
     L0 = np.prod(E, axis=0) + 0.0  # + 0.0 turns a -0.0 into 0.0
     L1, Lx = (sum(F[a] * rest[a] for a in range(d)) + 0.0 for F in (B, X))
@@ -297,7 +285,6 @@ def identity_residual_tuples(K: int, modes: np.ndarray) -> dict:
     with np.errstate(divide="ignore", invalid="ignore"):
         rhs = np.where(denom == 0, np.nan, -2.0 * (L1 + Lx) / denom + 0.0)
     residual = np.abs(L0 - rhs) / (np.abs(L0) + 1e-30)  # NaN where rhs is
-    L0, L1, Lx, rhs, residual = (v.astype(float) for v in (L0, L1, Lx, rhs, residual))
     return {"mu_sq": mu_sq, "L0": L0, "L1": L1, "Lx": Lx, "rhs": rhs,
             "residual": residual, "resonant": denom == 0}
 

@@ -621,9 +621,13 @@ def test_identity_tuples_L0_matches_exact_reference(d, K):
     assert np.array_equal(out["mu_sq"], 2 * modes.sum(axis=2) + d)
 
 
-def _assert_tuples_match_quad_terms(d, tuples):
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("d", [2, 3])
+def test_identity_tuples_match_quad_terms(d, data):
     # the same tolerance as test_quad_terms_factorize_over_axes: an axis sum can cancel,
     # so L1 and Lx are compared on the scale sum_a |axis term a|
+    tuples = data.draw(st.lists(_tuple_modes(d), min_size=1, max_size=6))
     out = lab.identity_residual_tuples(_SCAN_K, np.array(tuples))
     axis_basis, basis = HermiteBasis(1, _SCAN_K), HermiteBasis(d, _SCAN_K)
     for t, modes in enumerate(tuples):
@@ -639,26 +643,6 @@ def _assert_tuples_match_quad_terms(d, tuples):
         assert out["Lx"][t] == pytest.approx(Lx, rel=1e-13, abs=1e-13 * scale_Lx)
         assert tuple(out["mu_sq"][t]) == qt.mu_sqs
         assert out["resonant"][t] == (qt.mu_sq_1 - qt.mu_sq_2 - qt.mu_sq_3 - qt.mu_sq_4 == 0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-@pytest.mark.parametrize("d", [2, 3])
-def test_identity_tuples_match_quad_terms(d, data):
-    _assert_tuples_match_quad_terms(d, data.draw(st.lists(_tuple_modes(d), min_size=1, max_size=6)))
-
-
-# Tuples whose L1 sums cancel far below their absolute node sums; summed in double,
-# the two routes differed here by up to 32 times the tolerance above.
-_CANCELLING_TUPLES = {
-    2: [((0, 5), (5, 3), (5, 1), (4, 1))],
-    3: [((0, 4, 0), (4, 0, 1), (5, 1, 1), (5, 5, 0)), ((3, 0, 1), (1, 5, 5), (2, 4, 5), (2, 5, 5))],
-}
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_identity_tuples_match_quad_terms_on_cancelling_tuples(d):
-    _assert_tuples_match_quad_terms(d, _CANCELLING_TUPLES[d])
 
 
 def test_identity_tuples_do_not_depend_on_the_block_size(monkeypatch):
