@@ -9,10 +9,14 @@ scripts/bench_pairs.py does) and runs every experiment that the working tree's
 OpenBLAS on one thread, into the default output directory.  Prints per preset
 whether results.csv is byte-identical and whether the manifest's resolved_config,
 defaults_applied and derived blocks are equal; exits 1 on any difference.  A run
-that fails or whose exit code differs counts as a difference.
+that fails or whose exit code differs counts as a difference.  Where results.csv
+differs, prints per column the cells that differ and, over its numeric cells, the
+largest absolute move and the largest relative move off nonzero base cells.
 """
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -45,6 +49,30 @@ def run_preset(tree: Path, cwd: Path, experiment: str):
     return rc, (out / "results.csv").read_bytes(), {k: manifest[k] for k in BLOCKS}
 
 
+def column_moves(base: bytes, change: bytes) -> list[str]:
+    """One line per column whose cells differ between two results.csv files."""
+    rows_b, rows_c = (list(csv.reader(io.StringIO(b.decode("utf-8")))) for b in (base, change))
+    if len(rows_b) != len(rows_c) or rows_b[0] != rows_c[0]:
+        return [f"  header or row count differs ({len(rows_b) - 1} / {len(rows_c) - 1} rows)"]
+    lines = []
+    for j, name in enumerate(rows_b[0]):
+        pairs = [(b[j], c[j]) for b, c in zip(rows_b[1:], rows_c[1:]) if b[j] != c[j]]
+        if not pairs:
+            continue
+        abs_move = rel_move = 0.0
+        for b, c in pairs:
+            try:
+                move, fb = abs(float(c) - float(b)), float(b)
+            except ValueError:
+                continue  # a non-numeric cell is only counted
+            abs_move = max(abs_move, move)
+            if fb != 0.0:
+                rel_move = max(rel_move, move / abs(fb))
+        lines.append(f"  {name}: {len(pairs)} of {len(rows_b) - 1} cells differ, largest move "
+                     f"{abs_move:.3g} absolute, {rel_move:.3g} relative")
+    return lines
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="commit to compare the working tree against")
@@ -66,6 +94,8 @@ def main() -> None:
             differ += not (same_csv and same_man)
             print(f"{name}: results.csv {'equal' if same_csv else 'different'}, "
                   f"manifest {'equal' if same_man else 'different'} (exit {rc_b}/{rc_c})")
+            if csv_b is not None and csv_c is not None and not same_csv:
+                print("\n".join(column_moves(csv_b, csv_c)))
     if differ:
         sys.exit(f"error: {differ} of {len(experiments)} presets differ")
 

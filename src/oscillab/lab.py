@@ -7,7 +7,7 @@ Contents:
   (all 1-D tuples, or sampled d >= 2 mode tuples) takes one path: products of 1-D
   folded sums, each a fixed-order row sum, with no d-dim grid and no BLAS GEMM;
 * an almost-orthogonality sweep (decay of the quadrilinear form in the separated
-  eigenvalue);
+  eigenvalue): one dual projection of the trio, then a coefficient sum per trial field;
 * bilinear space-time measurements ||u_N v_M|| / (M^{(d-1)/2} N^{-1/2}) over random
   wave-packet data localized in dyadic windows, with optional ladder words on the
   factors;
@@ -17,7 +17,8 @@ Parity is handled exactly: a tuple whose degree sum is odd on any one axis
 integrates to 0.0 bitwise.  Node tables mirror exactly under x_j -> -x_j, and the
 quadrature sum folds each axis in turn onto its nonnegative half, so the mirror of
 every single axis cancels, not only the full mirror x -> -x.  The identity's tuple
-sums set an axis with an odd degree sum to 0.0 outright.
+sums set an axis with an odd degree sum to 0.0 outright, and the sweep a shell whose
+total degree with the trio is odd.
 
 The bilinear measurements tensorize per axis.  On each axis the kernel first bounds
 v's support from the coefficients alone, evaluates v only there, and runs the
@@ -36,7 +37,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .hermite import HermiteBasis, MultiIndex, SpectralField, _contract_planes, _pass_buffers
+from .hermite import (HermiteBasis, MultiIndex, SpectralField, _contract_planes, _pass_buffers,
+                      galerkin_project, synthesize)
 from .operators import (IOperatorSpec, PWord, _apply_letter, _letter_image, i_multiplier,
                         sobolev_norm)
 from .solver import SolverConfig, energy, run_recorded
@@ -170,27 +172,23 @@ def _folded_rule_sum(integrand: np.ndarray, basis: HermiteBasis) -> float:
     return float(np.sum(G))
 
 
-def _quad_terms(qt: QuadTuple, gradients: bool = True) -> tuple[float, float, float]:
+def _quad_terms(qt: QuadTuple) -> tuple[float, float, float]:
     """(L0, L1, Lx) of the tuple (see quad_L0 and quad_L1_plus_weight).
 
     The four fields and their 4 d gradients, zero-padded to degree K + 1 on every
     axis, are stacked as real planes and synthesized by one _contract_planes call.
-    With gradients=False only the four fields are synthesized and L1 = Lx = 0.0.
     """
     basis = qt.e1.basis
     d, n = basis.d, basis.K + 2
-    x = np.zeros((4 * (1 + d) if gradients else 4,) + (n,) * d)
+    x = np.zeros((4 * (1 + d),) + (n,) * d)
     for plane, e in zip(x, qt.fields):
         plane[(slice(0, n - 1),) * d] = e.coeffs.real
-    if gradients:
-        tmp = np.empty_like(x[:4])
-        for ax in range(d):  # planes 4 (ax + 1) .. 4 (ax + 2) - 1: d/dx_ax of the fields
-            _apply_letter(x[:4], x[4 * (ax + 1):4 * (ax + 2)], tmp, "GRAD", ax + 1)
+    tmp = np.empty_like(x[:4])
+    for ax in range(d):  # planes 4 (ax + 1) .. 4 (ax + 2) - 1: d/dx_ax of the fields
+        _apply_letter(x[:4], x[4 * (ax + 1):4 * (ax + 2)], tmp, "GRAD", ax + 1)
     table = np.ascontiguousarray(basis.values[:n].T)
     g = _contract_planes(x, table, _pass_buffers(d, n, basis.rule.size, x.shape[0]))
     L0 = _folded_rule_sum(g[0] * g[1] * g[2] * g[3], basis)
-    if not gradients:
-        return L0, 0.0, 0.0
     L1 = 0.0
     for (a, b), (c_, d_) in (((1, 2), (0, 3)), ((1, 3), (0, 2)), ((2, 3), (0, 1))):
         dot = sum(g[4 * (ax + 1) + a] * g[4 * (ax + 1) + b] for ax in range(d))
@@ -204,7 +202,7 @@ def _quad_terms(qt: QuadTuple, gradients: bool = True) -> tuple[float, float, fl
 
 def quad_L0(qt: QuadTuple) -> float:
     """L0 = int e1 e2 e3 e4 dx, exact on the basis rule (degree <= 4K < 2Q-1)."""
-    return _quad_terms(qt, gradients=False)[0]
+    return _quad_terms(qt)[0]
 
 
 def quad_L1_plus_weight(qt: QuadTuple) -> tuple[float, float]:
@@ -303,23 +301,26 @@ def almost_orthogonality_scan(
     seed: int,
     C0: float = 4.0,
 ) -> dict:
-    """Sweep the separated eigenvalue lambda_1 and record max |L0| over trial
-    eigenfields e1 in that shell.
-
-    Only lambda_1 passing the separation hypothesis lambda_1 >= C0 (lambda_2 +
-    lambda_3 + lambda_4) are kept.  Returns the kept lambdas, the per-shell maxima,
-    and the power-law fit of |L0| against lambda_1 (None if < 2 usable points).
+    """Sweep the separated eigenvalue lambda_1 >= C0 (lambda_2 + lambda_3 + lambda_4)
+    and record max |L0| over trial eigenfields e1 in that shell.  L0 = sum_m c_m b_m
+    is linear in e1, with b = galerkin_project(e2 e3 e4) built once (exact on the rule);
+    a shell of odd total degree with the trio reads exactly 0.0.  Returns the kept
+    lambdas, the per-shell maxima, and the power-law fit of |L0| against lambda_1
+    (None if < 2 usable points).
     """
     lam_rest = 0.0
     mus_rest = []
     for e in (e2, e3, e4):
-        lsq = e.basis.lambda_sq[np.abs(e.coeffs) != 0]
+        if e.basis is not basis or np.abs(e.coeffs.imag).max() != 0.0:
+            raise ValueError("e2, e3, e4 must have real coefficients on the scan's basis")
+        lsq = basis.lambda_sq[e.coeffs.real != 0]
         if lsq.size == 0:
             raise ValueError("e2, e3, e4 must be nonzero eigenfields")
         if lsq.max() != lsq.min():
             raise ValueError("e2, e3, e4 must each live on a single shell")
         mus_rest.append(int(lsq[0]))
         lam_rest += math.sqrt(float(lsq[0]))
+    b = galerkin_project(synthesize(e2) * synthesize(e3) * synthesize(e4), basis).coeffs.real
     kept, maxima = [], []
     for lam1 in lambda1_list:
         lam1 = float(lam1)
@@ -332,10 +333,9 @@ def almost_orthogonality_scan(
         for trial in range(max(trials, 1)):
             rng = np.random.default_rng(np.random.SeedSequence((seed, mu_sq, trial)))
             e1 = random_shell_field(basis, mu_sq, rng)
-            qt = QuadTuple(e1, e2, e3, e4, mu_sq, *mus_rest)
-            best = max(best, abs(quad_L0(qt)))
+            best = max(best, abs(float(np.sum(e1.coeffs.real * b))))
         kept.append(lam1)
-        maxima.append(best)
+        maxima.append(best if (mu_sq + sum(mus_rest) - 4 * basis.d) % 4 == 0 else 0.0)
     fit = fit_power_law(kept, maxima) if np.count_nonzero(maxima) >= 2 else None
     return {
         "lambda1": np.array(kept),

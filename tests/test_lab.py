@@ -195,6 +195,41 @@ def test_almost_orthogonality_rejects_mixed_trio():
         almost_orthogonality_scan(basis, [5.0], mixed, ground, ground, 1, 0)
 
 
+def test_almost_orthogonality_refuses_complex_or_foreign_trio():
+    basis = HermiteBasis(1, 12)
+    ground = SpectralField.from_mode(basis, (0,))
+    complex_ground = SpectralField.from_mode(basis, (0,), amplitude=1j)
+    foreign = SpectralField.from_mode(HermiteBasis(1, 10), (0,))
+    for trio in ((complex_ground, ground, ground), (ground, ground, foreign)):
+        with pytest.raises(ValueError, match="real coefficients on the scan's basis"):
+            almost_orthogonality_scan(basis, [], *trio, trials=1, seed=0)  # no shell admissible
+
+
+@pytest.mark.parametrize("d, K, trials", [(1, 64, 4), (2, 48, 4), (3, 56, 2)])
+def test_almost_orthogonality_matches_per_axis_reference(d, K, trials):
+    # b_m = prod_a int h_{m_a} h_0^3 from the exact per-axis reference, on the same draws
+    seed = 20260814
+    basis = HermiteBasis(d, K)
+    trio = [SpectralField.from_mode(basis, (0,) * d) for _ in range(3)]
+    lambda1_list = [math.sqrt(2 * m + d) for m in range(K + 1)]
+    out = almost_orthogonality_scan(basis, lambda1_list, *trio, trials=trials, seed=seed, C0=2.0)
+    axis_tuples = np.zeros((K + 1, 4, 1), dtype=int)
+    axis_tuples[:, 0, 0] = np.arange(K + 1)
+    b = functools.reduce(np.multiply.outer, [_exact_terms(axis_tuples, K)[0]] * d)
+    odd = 0
+    for lam1, got in zip(out["lambda1"], out["max_abs_L0"]):
+        mu_sq = int(round(lam1 ** 2))
+        if (mu_sq - d) % 4 != 0:  # odd total degree with the ground trio
+            odd += 1
+            assert got == 0.0 and not np.signbit(got)
+            continue
+        want = max(abs(np.sum(b * random_shell_field(
+            basis, mu_sq, np.random.default_rng(np.random.SeedSequence((seed, mu_sq, t)))).coeffs.real))
+            for t in range(trials))
+        assert abs(got - want) <= 1e-15
+    assert 0 < odd < len(out["lambda1"])
+
+
 def test_bilinear_min_K_frozen_values():
     assert bilinear_min_K(1) == 8
     assert bilinear_min_K(64) == 1954
@@ -597,28 +632,50 @@ def _draw_modes(d, K, n, seed):
     return rng.integers(0, K + 1, size=(n, 4, d))
 
 
-def _exact_L0(modes, K):
-    """int h_m1 h_m2 h_m3 h_m4 dx per tuple, from numpy's Gauss-Hermite rule in
-    y = sqrt(2) x (exact for the degree <= 4K polynomial times e^{-2x^2}) and the
-    normalised recurrence for h_k(x) e^{x^2/2}, independent of oscillab's tables."""
+def _exact_terms(modes, K):
+    """(L0, L1, Lx) per tuple, from numpy's Gauss-Hermite rule in y = sqrt(2) x (exact
+    for the degree <= 4K + 2 polynomials times e^{-2x^2}) and the normalised recurrence
+    for h_k(x) e^{x^2/2}, independent of oscillab's tables.  Per axis a: E_a = int h h h h,
+    X_a = int x^2 h h h h and B_a = the three gradient pairs, with h_k' = sqrt(k/2) h_{k-1}
+    - sqrt((k+1)/2) h_{k+1}; L0 = prod_a E_a, L1 and Lx = sum_a (B_a or X_a) prod_{b != a} E_b."""
     y, w = np.polynomial.hermite.hermgauss(2 * K + 2)
     x = y / math.sqrt(2.0)
-    P = np.zeros((K + 1, x.size))
+    P = np.zeros((K + 2, x.size))
     P[0] = math.pi ** -0.25
     P[1] = math.sqrt(2.0) * x * P[0]
-    for k in range(1, K):
+    for k in range(1, K + 1):
         P[k + 1] = math.sqrt(2.0 / (k + 1)) * x * P[k] - math.sqrt(k / (k + 1)) * P[k - 1]
+    k = np.arange(K + 1)[:, None]
+    dP = np.sqrt(k / 2.0) * np.vstack([np.zeros_like(x), P[:K]]) - np.sqrt((k + 1) / 2.0) * P[1:]
     w = w / math.sqrt(2.0)
-    return np.array([math.prod(float(np.sum(w * P[m[0, a]] * P[m[1, a]] * P[m[2, a]] * P[m[3, a]]))
-                               for a in range(m.shape[1])) for m in modes])
+    d = modes.shape[2]
+    E, X, B = np.empty((3, d, modes.shape[0]))
+    for a in range(d):
+        h1, h2, h3, h4 = np.moveaxis(P[modes[:, :, a]], 1, 0)
+        g2, g3, g4 = np.moveaxis(dP[modes[:, 1:, a]], 1, 0)
+        E[a] = np.sum(w * h1 * h2 * h3 * h4, axis=-1)
+        X[a] = np.sum(w * x ** 2 * h1 * h2 * h3 * h4, axis=-1)
+        B[a] = np.sum(w * h1 * (g2 * g3 * h4 + g2 * g4 * h3 + g3 * g4 * h2), axis=-1)
+    rest = [np.prod(np.delete(E, a, axis=0), axis=0) for a in range(d)]
+    return (np.prod(E, axis=0), sum(B[a] * rest[a] for a in range(d)),
+            sum(X[a] * rest[a] for a in range(d)))
 
 
 @pytest.mark.parametrize("d, K", [(2, 24), (3, 12)])
 def test_identity_tuples_L0_matches_exact_reference(d, K):
     modes = _draw_modes(d, K, 200, seed=d)
     out = lab.identity_residual_tuples(K, modes)
-    assert np.abs(out["L0"] - _exact_L0(modes, K)).max() <= 1e-14
+    assert np.abs(out["L0"] - _exact_terms(modes, K)[0]).max() <= 1e-14
     assert np.array_equal(out["mu_sq"], 2 * modes.sum(axis=2) + d)
+
+
+@pytest.mark.parametrize("d, K", [(2, 24), (3, 12)])
+def test_identity_tuples_L1_Lx_match_exact_reference(d, K):
+    modes = _draw_modes(d, K, 200, seed=d)
+    out = lab.identity_residual_tuples(K, modes)
+    _, L1, Lx = _exact_terms(modes, K)
+    assert np.abs(out["L1"] - L1).max() <= 1e-14
+    assert np.abs(out["Lx"] - Lx).max() <= 1e-14
 
 
 @settings(max_examples=25, deadline=None)
