@@ -35,6 +35,7 @@ from .operators import (
     apply_I_inverse,
     apply_P,
     bernstein_ratio,
+    bernstein_ratios,
     commutator_H_P,
     i_multiplier,
     littlewood_paley,
@@ -79,8 +80,8 @@ __all__ = [
     "hermite_values_1d", "synthesize",
     # operators
     "IOperatorSpec", "PWord", "apply_H", "apply_I", "apply_I_inverse",
-    "apply_P", "bernstein_ratio", "commutator_H_P", "i_multiplier",
-    "littlewood_paley", "project_pi_mu", "sobolev_norm",
+    "apply_P", "bernstein_ratio", "bernstein_ratios", "commutator_H_P",
+    "i_multiplier", "littlewood_paley", "project_pi_mu", "sobolev_norm",
     # solver
     "EnergyReport", "SolverConfig", "energy", "evolve", "linear_propagator",
     "lie_step", "modified_energy", "nonlinear_phase_step", "run_recorded",

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .hermite import HermiteBasis, MultiIndex, SpectralField
-from .operators import (IOperatorSpec, PWord, apply_I, bernstein_draws, bernstein_ratio,
+from .operators import (IOperatorSpec, PWord, apply_I, bernstein_draws, bernstein_ratios,
                         sobolev_norm)
 from .solver import SolverConfig, evolve
 from .lab import (
@@ -295,12 +295,27 @@ def _fmt_column(col) -> list[str]:
     return [_fmt_cell(v) for v in col]
 
 
+def _fmt_block(col) -> list[str]:
+    """One column block as text.  A numeric or bool array is formatted through its
+    distinct values, keyed by their bits so that -0.0, 0.0 and NaN payloads stay apart:
+    one _fmt_column text per distinct value, then one gather.  Other columns go to
+    _fmt_column as they are."""
+    if not isinstance(col, np.ndarray):
+        return _fmt_column(col)
+    if col.dtype.kind not in "biuf" or col.itemsize not in (1, 2, 4, 8):
+        return _fmt_column(col.tolist())
+    bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    texts = np.array(_fmt_column(bits.view(col.dtype).tolist()), dtype=object)
+    return texts[inverse].tolist()
+
+
 _CSV_BLOCK_ROWS = 1024
 
 
 def _write_csv(path: str, table: dict) -> int:
     """Write the table (column name -> column) in blocks of _CSV_BLOCK_ROWS rows, each
-    column block formatted once; returns the number of rows."""
+    column block formatted once, each distinct value of an array block once
+    (_fmt_block); returns the number of rows."""
     lengths = {len(col) for col in table.values()}
     if len(lengths) != 1:
         raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
@@ -309,7 +324,7 @@ def _write_csv(path: str, table: dict) -> int:
         f.write(",".join(map(_csv_field, table)) + "\n")
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
             block = (col[start:start + _CSV_BLOCK_ROWS] for col in table.values())
-            cells = [_fmt_column(b.tolist() if isinstance(b, np.ndarray) else b) for b in block]
+            cells = [_fmt_block(b) for b in block]
             f.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return n_rows
 
@@ -467,23 +482,28 @@ def _run_bernstein(resolved: dict, threads: int) -> DriverResult:
     N_list = resolved["N_list"]
     basis = HermiteBasis(d, K)  # ladder algebra only; quadrature tables stay unbuilt
     words = _all_words_up_to_order2(d)
-    cells = [(label, word, int(N)) for (label, word) in words for N in N_list]
-    draws = {N: bernstein_draws(basis, N, trials, seed) for N in {N for _, _, N in cells}}
+    Ns = sorted({int(N) for N in N_list})
+    draws = {N: bernstein_draws(basis, N, trials, seed) for N in Ns}
+    by_first = {}  # words that share a first letter share its image
+    for _, word in words:
+        by_first.setdefault(word.letters[:1], []).append(word)
+    cells = [(N, group) for N in Ns for group in by_first.values()]
 
     def cell(args):
-        _, word, N = args
-        return bernstein_ratio(basis, word, N, trials, seed, draws[N])
+        N, group = args
+        return bernstein_ratios(basis, group, N, trials, seed, draws[N])
 
-    ratios = _map_cells(cell, cells, threads)
-    table = {"N": [N for _, _, N in cells], "word": [label for label, _, _ in cells],
-             "ratio": ratios}
+    ratio = {}
+    for (N, group), ratios in zip(cells, _map_cells(cell, cells, threads)):
+        ratio.update(((N, word), r) for word, r in zip(group, ratios))
+    rows = [(label, word, int(N)) for (label, word) in words for N in N_list]
+    table = {"N": [N for _, _, N in rows], "word": [label for label, _, _ in rows],
+             "ratio": [ratio[(N, word)] for _, word, N in rows]}
     per_word = {}
-    Ns = sorted({int(N) for N in N_list})
-    for label, _ in words:
-        by_N = {N: r for (lab, _, N), r in zip(cells, ratios) if lab == label}
-        entry = {"ratio_by_N": {str(N): by_N[N] for N in Ns}}
+    for label, word in words:
+        entry = {"ratio_by_N": {str(N): ratio[(N, word)] for N in Ns}}
         if len(Ns) >= 2:
-            entry["top_over_prev"] = by_N[Ns[-1]] / by_N[Ns[-2]]
+            entry["top_over_prev"] = ratio[(Ns[-1], word)] / ratio[(Ns[-2], word)]
         per_word[label] = entry
     window_sizes = {str(N): int(draws[N][0].sum()) for N in Ns}
     summary = {

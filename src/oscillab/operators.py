@@ -20,7 +20,10 @@ lives in the box m_j <= K_N.  A letter moves one degree by one, so the image of 
 order r lies in that box padded by r, and the padded array holds all of it: its norm is
 ||P u|| itself, the quantity the full-basis computation recovered as hypot(kept, spill).
 Each image entry is the same products summed in the same order as on the full basis;
-only the summation order of the norm differs, at roundoff.
+only the summation order of the norm differs, at roundoff.  bernstein_ratios evaluates
+many words on one set of trials: each order has its own box, so a norm is taken over
+the same array whatever words share the call, and words that share a letter prefix
+share its image, so each prefix is applied once per trial.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "apply_I_inverse",
     "bernstein_draws",
     "bernstein_ratio",
+    "bernstein_ratios",
 ]
 
 MAX_WORD_ORDER = 8
@@ -314,24 +318,57 @@ def bernstein_draws(basis: HermiteBasis, N: int, trials: int, seed: int):
     return window, fields
 
 
+def bernstein_ratios(basis: HermiteBasis, words, N: int, trials: int, seed: int,
+                     draws=None) -> list[float]:
+    """bernstein_ratio of each word in `words`, in order, on one set of trial fields.
+
+    The trials are `draws`, by default bernstein_draws(basis, N, trials, seed).  Words
+    of one order share one coefficient box, the window's box padded by that order (see
+    the module docstring), so every image norm is taken over the array a one-word call
+    uses.  Within a trial a word's image is its last letter applied to its prefix's
+    image, and each letter prefix is applied once: the words run in sorted order, and a
+    word recomputes only the letters after the prefix it shares with the word before.
+    """
+    words = list(words)
+    window, fields = draws if draws is not None else bernstein_draws(basis, N, trials, seed)
+    n, d = window.shape[0], window.ndim
+    for word in words:
+        for _, axis in word.letters:
+            if axis > d:
+                raise ValueError(f"letter axis {axis} of word {word.letters} exceeds "
+                                 f"dimension {d}")
+    ratios = [1.0 if word.order == 0 else 0.0 for word in words]
+    for r in sorted({word.order for word in words} - {0}):
+        ids = sorted((i for i, w in enumerate(words) if w.order == r),
+                     key=lambda i: words[i].letters)
+        images = [np.zeros((n + r,) * d, dtype=complex) for _ in range(r + 1)]
+        tmp = np.empty_like(images[0])
+        scale = float(N) ** r
+        per_trial = {i: [] for i in ids}
+        for c, u_norm in fields:
+            images[0][(slice(0, n),) * d][window] = c
+            done = ()  # the letters whose images images[1:] hold
+            for i in ids:
+                letters = words[i].letters
+                k = 0
+                while k < len(done) and done[k] == letters[k]:
+                    k += 1
+                for j in range(k, r):
+                    letter, axis = letters[j]
+                    _apply_letter(images[j], images[j + 1], tmp, letter, axis - 1)
+                done = letters
+                per_trial[i].append(
+                    math.sqrt(np.vdot(images[r], images[r]).real) / (scale * u_norm))
+        for i in ids:
+            ratios[i] = max(per_trial[i])
+    return ratios
+
+
 def bernstein_ratio(basis: HermiteBasis, word: PWord, N: int, trials: int, seed: int,
                     draws=None) -> float:
     """max over trial fields u supported in the Delta_N window of ||P u|| / (N^ord ||u||).
 
     The trials are `draws`, by default bernstein_draws(basis, N, trials, seed); the words
-    of one N may share one set.  They live on the window's coefficient box padded by the
-    word order (see the module docstring).
+    of one N may share one set, and bernstein_ratios evaluates many words at once.
     """
-    window, fields = draws if draws is not None else bernstein_draws(basis, N, trials, seed)
-    if word.order == 0:
-        return 1.0
-    n, d = window.shape[0], window.ndim
-    work = np.zeros((n + word.order,) * d, dtype=complex)
-    out, tmp = np.empty_like(work), np.empty_like(work)
-    ratios = []
-    for c, u_norm in fields:
-        work.fill(0.0)
-        work[(slice(0, n),) * d][window] = c
-        image = _apply_word(work, word, out, tmp)
-        ratios.append(math.sqrt(np.vdot(image, image).real) / (float(N) ** word.order * u_norm))
-    return max(ratios)
+    return bernstein_ratios(basis, [word], N, trials, seed, draws)[0]

@@ -427,6 +427,17 @@ def test_sampled_identity_threads_do_not_change_bytes(tmp_path):
     ).read_bytes()
 
 
+def test_bernstein_threads_do_not_change_bytes(tmp_path):
+    # one cell per (N, first letter), each cell's words sharing their prefix images
+    text = "experiment = bernstein\nd = 2\nN_list = [2, 4, 8]\ntrials = 4\nseed = 11\n"
+    cfg_path = _write(tmp_path, text)
+    assert main(["run", cfg_path, "--output-dir", str(tmp_path / "t1"), "--threads", "1"]) == 0
+    assert main(["run", cfg_path, "--output-dir", str(tmp_path / "t4"), "--threads", "4"]) == 0
+    assert (tmp_path / "t1" / "results.csv").read_bytes() == (
+        tmp_path / "t4" / "results.csv"
+    ).read_bytes()
+
+
 def test_sampled_identity_rows_do_not_depend_on_trials(tmp_path):
     # tuple i is drawn from SeedSequence((seed, 5, i)) and computed on its own
     lines = {}
@@ -624,6 +635,13 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
     table["i64"] = rng.integers(-2 ** 62, 2 ** 62, n)
     table["f"] = x[::-1].copy()
     table["b"] = x > 0
+    # array columns whose values repeat within a block, formatted once per distinct bits
+    nan2 = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    pool = np.array([0.0, -0.0, np.nan, -np.nan, nan2, -nan2, np.inf, -np.inf, 5e-324, 0.1])
+    table["f_rep"] = pool[rng.integers(0, pool.size, n)]
+    table["f_rep_reversed"] = pool[rng.integers(0, pool.size, n)][::-1]  # a strided view
+    table["i_rep"] = rng.integers(-3, 3, n).astype(np.int64) * 2 ** 40
+    table["b_rep"] = rng.integers(0, 2, n).astype(bool)
     rows = list(zip(*table.values()))
     _write_csv(str(tmp_path / "new.csv"), table)
     _reference_write_csv(str(tmp_path / "ref.csv"), list(table), rows)

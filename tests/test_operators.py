@@ -25,6 +25,7 @@ from oscillab import (
     apply_I_inverse,
     apply_P,
     bernstein_ratio,
+    bernstein_ratios,
     commutator_H_P,
     i_multiplier,
     littlewood_paley,
@@ -419,6 +420,14 @@ def test_bernstein_shared_draws_give_the_per_word_ratios_bitwise(d, N):
     reference = [_reference_bernstein_box_ratio(basis, w, N, 5, 17) for w in words]
     assert np.array(shared).tobytes() == np.array(fresh).tobytes()
     assert np.array(shared).tobytes() == np.array(reference).tobytes()
+    # one call over every word: shuffled, with a duplicate word and an order-3 word
+    words += [words[-1], PWord((("X", 1), ("GRAD", d), ("X", d)))]
+    words = [words[i] for i in np.random.default_rng(10 * d + N).permutation(len(words))]
+    batch = bernstein_ratios(basis, words, N, 5, 17, draws)
+    reference = [_reference_bernstein_box_ratio(basis, w, N, 5, 17) for w in words]
+    assert np.array(batch).tobytes() == np.array(reference).tobytes()
+    with pytest.raises(ValueError, match=f"letter axis {d + 1} of word"):
+        bernstein_ratios(basis, words + [PWord.x(1).then(PWord.grad(d + 1))], N, 5, 17, draws)
     window, fields = draws
     for array in [window] + [c for c, _ in fields]:
         with pytest.raises(ValueError):  # read-only: threads share them
