@@ -413,7 +413,8 @@ def _run_orthogonality(resolved: dict, threads: int) -> DriverResult:
 
 def _bilinear_K(resolved: dict, word_a: PWord) -> int:
     """The smallest K that holds every packet draw and its word (word_b is the identity)."""
-    return bilinear_min_K(max(max(resolved["N_list"]), max(resolved["M_list"]))) + word_a.order
+    N = max(max(resolved["N_list"]), max(resolved["M_list"]))
+    return bilinear_min_K(N, resolved["d"]) + word_a.order
 
 
 def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
@@ -421,8 +422,7 @@ def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
     d, K, seed = resolved["d"], resolved["K"], resolved["seed"]
     N_list, M_list = resolved["N_list"], resolved["M_list"]
     T, trials = resolved["T"], resolved["trials"]
-    axis_basis = HermiteBasis(1, K)
-    axis_basis.rule, axis_basis.values  # build the shared tables up front
+    axis_basis = HermiteBasis(1, K)  # caps the draws; each cell builds its own rule
 
     cells = [(int(N), int(M)) for M in M_list for N in N_list]
 
@@ -457,9 +457,9 @@ def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
     derived = {
         "K": K,
         "K_needed": _bilinear_K(resolved, word_a),
-        "Q": 2 * K + 2,
         "time_nodes_max": time_node_count(T, max(N_list)),
         "normalization_by_cell": {f"N={N},M={M}": by_cell[(N, M)]["normalization"] for (N, M) in cells},
+        "Q_by_cell": {f"N={N},M={M}": by_cell[(N, M)]["Q"] for (N, M) in cells},
     }
     return DriverResult(table, summary, derived, [])
 

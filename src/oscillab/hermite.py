@@ -143,15 +143,16 @@ def _mirrored_values(K_eval: int, rule: "QuadratureRule") -> np.ndarray:
     """hermite_values_1d on the rule's nodes, evaluated on the nonnegative half only.
 
     The rule's nodes mirror exactly and h_k(-x) = (-1)^k h_k(x) holds bitwise for
-    the recurrence, so the mirrored half equals full evaluation bit for bit.
+    the recurrence, so the mirrored half equals full evaluation bit for bit.  Rows are
+    written straight into the table: no half table is held beside it.
     """
     Q = rule.size
     lo = Q // 2  # index of the first nonnegative node
-    half = hermite_values_1d(K_eval, rule.nodes[lo:])
     out = np.empty((K_eval + 1, Q))
-    out[:, lo:] = half
+    for k, row in enumerate(_hermite_rows(K_eval, rule.nodes[lo:])):
+        out[k, lo:] = row
     sign = (-1.0) ** np.arange(K_eval + 1)
-    np.multiply(half[:, Q % 2:][:, ::-1], sign[:, None], out=out[:, :lo])
+    np.multiply(out[:, lo + Q % 2:][:, ::-1], sign[:, None], out=out[:, :lo])
     return out
 
 

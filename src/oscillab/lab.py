@@ -20,9 +20,11 @@ every single axis cancels, not only the full mirror x -> -x.  The identity's tup
 sums set an axis with an odd degree sum to 0.0 outright, and the sweep a shell whose
 total degree with the trio is odd.
 
-The bilinear measurements tensorize per axis.  On each axis the kernel first bounds
-v's support from the coefficients alone, evaluates v only there, and runs the
-real-table products as real GEMMs on the interleaved view of the complex data.
+The bilinear measurements tensorize per axis, and each cell integrates on its own
+Gauss rule, sized to the highest degrees of its windows.  On each axis the kernel
+first bounds v's support from the coefficients alone, evaluates v only there, and
+runs the real-table products as real GEMMs on the interleaved view of the complex
+data.
 
 Every ladder letter here -- the gradients of the k = 1 identity, its 1-D derivative
 table and the words on the bilinear factors -- goes through the one kernel of
@@ -37,8 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .hermite import (HermiteBasis, MultiIndex, SpectralField, _contract_planes, _pass_buffers,
-                      galerkin_project, synthesize)
+from .hermite import (HermiteBasis, MultiIndex, SpectralField, _contract_planes, _mirrored_values,
+                      _pass_buffers, galerkin_project, gauss_hermite_rule, synthesize)
 from .operators import (IOperatorSpec, PWord, _apply_letter, _letter_image, i_multiplier,
                         sobolev_norm)
 from .solver import SolverConfig, energy, run_recorded
@@ -446,9 +448,11 @@ def _v_support(Vv: np.ndarray, cv: np.ndarray, phases: np.ndarray):
     return cand[sup], np.square(gv_sq, out=gv_sq)
 
 
-def bilinear_min_K(N: int) -> int:
-    """Smallest 1-D basis degree that holds every frequency-N packet draw."""
-    nbar_hi = 0.85 * N * N / 2.0
+def bilinear_min_K(N: int, d: int = 2) -> int:
+    """Smallest 1-D basis degree that holds every frequency-N packet draw in dimension d.
+    An axis takes at most the share 0.85 / (0.85 + 0.15 (d - 1)) of N^2 (_split_fractions):
+    0.85 at d = 2, all of it at d = 1."""
+    nbar_hi = 0.85 / (0.85 + 0.15 * (d - 1)) * N * N / 2.0
     return int(math.ceil(nbar_hi + 5.0 * math.sqrt(nbar_hi) + 4.0))
 
 
@@ -468,13 +472,16 @@ def derivative_bilinear_ratio(
 
         N^{|word_a|} M^{|word_b|} M^{(d-1)/2} N^{-1/2}.
 
-    `basis` is a 1-D axis basis (packets tensorize, so all grid work is 1-D);
-    it must satisfy basis.K >= bilinear_min_K(max(N, M)).  Returns per-trial raw
-    norms and ratios plus their max.
+    `basis` is a 1-D axis basis (packets tensorize, so all grid work is 1-D) and
+    supplies only its degree: basis.K >= bilinear_min_K(max(N, M), d) caps the draws.
+    Returns per-trial raw norms and ratios plus their max, and the cell's rule size Q.
 
-    Only |gu| and |gv| enter, so each window's common phase drops out (_time_series):
-    the trials are drawn first, then one table e^{-2ijt} as wide as the widest window
-    serves every trial and axis of the call.
+    The trials are drawn first.  Per axis the integrand |gu|^2 |gv|^2 is a polynomial
+    of degree <= 2 top_u + 2 top_v times e^{-2x^2}, with top_u, top_v the highest
+    degrees of the cell's u and v windows, so the cell's own w = 2 rule of
+    Q = top_u + top_v + 1 nodes integrates it exactly.  Only |gu| and |gv| enter, so
+    each window's common phase drops out (_time_series): one table e^{-2ijt} as wide
+    as the widest window serves every trial and axis of the call.
     """
     if basis.d != 1:
         raise ValueError("pass a 1-D axis basis; tensor packets factorize per axis")
@@ -485,7 +492,7 @@ def derivative_bilinear_ratio(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     max_ord = max(word_a.order, word_b.order)
-    need = bilinear_min_K(max(N, M)) + max_ord
+    need = bilinear_min_K(max(N, M), d) + max_ord
     if basis.K < need:
         raise ValueError(f"basis.K = {basis.K} too small; need >= {need} for N = {N}")
     for word in (word_a, word_b):
@@ -493,8 +500,6 @@ def derivative_bilinear_ratio(
             if ax > d:
                 raise ValueError(f"word axis {ax} exceeds dimension {d}")
     K_draw = basis.K - max_ord  # ladder letters raise the top degree by one each
-    V = basis.values
-    W = basis.rule.weights
     tg, tw = _time_rule(T, N)
     pairs = []
     for trial in range(trials):
@@ -505,6 +510,10 @@ def derivative_bilinear_ratio(
                 m0, c = axes[ax - 1]
                 axes[ax - 1] = _letter_image(c, letter, 0, m0)
         pairs.append((u_axes, v_axes))
+    top_u = max(m0 + c.size - 1 for u_axes, _ in pairs for m0, c in u_axes)
+    top_v = max(m0 + c.size - 1 for _, v_axes in pairs for m0, c in v_axes)
+    rule = gauss_hermite_rule(top_u + top_v + 1, 2)
+    V, W = _mirrored_values(max(top_u, top_v), rule), rule.weights
     width = max(c.size for u_axes, v_axes in pairs for _, c in u_axes + v_axes)
     phases = np.exp(-2j * np.outer(np.arange(width), tg))  # one table for the cell
     raws = np.empty(trials)
@@ -530,6 +539,7 @@ def derivative_bilinear_ratio(
         "ratio_max": float(ratios.max()),
         "raw_max": float(raws.max()),
         "normalization": normalization,
+        "Q": rule.size,
     }
 
 

@@ -237,6 +237,7 @@ def test_validate_accepts_the_edges_of_the_up_front_checks(tmp_path, capsys, mon
 @pytest.mark.parametrize("text", [
     "experiment = bilinear\nN_list = [4]\ntrials = 1\n",
     "experiment = bilinear_derivative\nN_list = [4]\ntrials = 1\n",
+    "experiment = bilinear\nd = 1\nN_list = [8]\ntrials = 1\n",  # one axis takes all of N^2
     "experiment = bernstein\nN_list = [2, 4]\ntrials = 1\n",
 ])
 def test_validate_resolves_the_K_that_run_uses(tmp_path, capsys, text):
@@ -250,6 +251,10 @@ def test_validate_resolves_the_K_that_run_uses(tmp_path, capsys, text):
     assert manifest["resolved_config"]["K"] == validated["resolved_config"]["K"]
     assert manifest["derived"]["K"] == manifest["derived"]["K_needed"] == manifest["resolved_config"]["K"]
     assert manifest["defaults_applied"]["K"] == validated["defaults_applied"]["K"]
+    if "bilinear" in text:  # one Gauss rule per cell
+        Q_by_cell = manifest["derived"]["Q_by_cell"]
+        assert Q_by_cell.keys() == manifest["derived"]["normalization_by_cell"].keys()
+        assert all(1 <= Q <= 2 * manifest["derived"]["K"] + 1 for Q in Q_by_cell.values())
 
 
 # valid values for every optional key: every combination of them passes the up-front checks

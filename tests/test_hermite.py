@@ -113,15 +113,15 @@ def test_rule_matches_full_eigenproblem_reference(Q):
         assert rule.nodes[Q // 2] == 0.0
 
 
-@pytest.mark.parametrize("Q", [34, 131, 3910])
+@pytest.mark.parametrize("Q", [1, 2, 3, 7, 34, 66, 131, 3910])
 @pytest.mark.parametrize("w", [1, 2])
 def test_folded_value_table_bitwise_equal_full_evaluation(Q, w):
+    # a bilinear cell tables degrees up to max(top_u, top_v) on its Q = top_u + top_v + 1
+    # nodes, so K_eval runs from 0 up to Q - 1 as well as past Q / 2
     rule = gauss_hermite_rule(Q, w=w)
-    K_eval = Q // 2 + 8
-    folded = _mirrored_values(K_eval, rule)
-    full = hermite_values_1d(K_eval, rule.nodes)
-    assert np.array_equal(folded, full)
-    assert np.array_equal(np.signbit(folded), np.signbit(full))
+    for K_eval in sorted({0, min(Q - 1, 300), Q // 2 + 8}):
+        folded = _mirrored_values(K_eval, rule)
+        assert folded.tobytes() == hermite_values_1d(K_eval, rule.nodes).tobytes()
 
 
 @pytest.mark.parametrize("Q", [1, 2, 3, 7, 66, 130, 512, 3910])

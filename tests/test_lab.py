@@ -43,6 +43,7 @@ from oscillab import (
     verify_identity_k1,
 )
 from oscillab import lab
+from oscillab.hermite import gauss_hermite_rule, hermite_values_1d
 from oscillab.operators import _letter_image
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -234,6 +235,20 @@ def test_bilinear_min_K_frozen_values():
     assert bilinear_min_K(1) == 8
     assert bilinear_min_K(64) == 1954
     assert bilinear_min_K(32) > bilinear_min_K(16) > bilinear_min_K(8)
+    assert all(bilinear_min_K(N) == bilinear_min_K(N, 2) for N in range(1, 129))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bilinear_min_K_clips_no_draw(d):
+    # at d = 1 one axis takes all of N^2; a cap sized for 0.85 N^2 clipped every u window
+    for N in (4, 5, 8, 12, 16, 24, 32, 48, 64):
+        cap = bilinear_min_K(N, d)
+        for trial in range(200):
+            capped, free = (lab._draw_packet_pair(
+                np.random.default_rng(np.random.SeedSequence((5, N, trial))), d, N, 2, math.pi, K)
+                for K in (cap, 10 ** 9))
+            for (m0, c), (f0, f) in zip(capped[0] + capped[1], free[0] + free[1]):
+                assert m0 == f0 and c.tobytes() == f.tobytes()
 
 
 def test_bilinear_ground_pair_closed_form():
@@ -367,14 +382,15 @@ def _reference_v_nodes(Vv, m0, cv, tg):
     return cand[peak > 1e-11 * peak.max()]
 
 
-def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed, v_nodes=None):
+def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed, v_nodes=None,
+                          cell_rule=False):
     """The dense trial loop: both factors on every node, complex products.  When
-    `v_nodes` is a list, each axis's _reference_v_nodes is appended to it."""
-    V = basis.values[: basis.K + 1]
-    W = basis.rule.weights
+    `v_nodes` is a list, each axis's _reference_v_nodes is appended to it.  The nodes
+    are those of the basis's 2K+2 rule, or with `cell_rule` those of the Gauss rule of
+    top_u + top_v + 1 nodes sized to the cell's windows, tabled by full evaluation."""
     tg, tw = lab._time_rule(T, N)
     K_draw = basis.K - max(word_a.order, word_b.order)
-    raws = []
+    pairs = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, N, M, trial)))
         u_axes, v_axes = lab._draw_packet_pair(rng, d, N, M, T, K_draw)
@@ -383,6 +399,18 @@ def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed, v_nod
                 u_axes[axis] = _reference_ladder_window(*u_axes[axis], letter)
             for letter in [letter for letter, ax in word_b.letters if ax - 1 == axis]:
                 v_axes[axis] = _reference_ladder_window(*v_axes[axis], letter)
+        pairs.append((u_axes, v_axes))
+    if cell_rule:
+        top_u = max(m0 + c.size - 1 for u_axes, _ in pairs for m0, c in u_axes)
+        top_v = max(m0 + c.size - 1 for _, v_axes in pairs for m0, c in v_axes)
+        rule = gauss_hermite_rule(top_u + top_v + 1, 2)
+        V = hermite_values_1d(max(top_u, top_v), rule.nodes)
+    else:
+        rule = basis.rule
+        V = basis.values[: basis.K + 1]
+    W = rule.weights
+    raws = []
+    for u_axes, v_axes in pairs:
         prof = np.ones_like(tg)
         for (m0u, cu), (m0v, cv) in zip(u_axes, v_axes):
             if v_nodes is not None:
@@ -411,10 +439,12 @@ _WORDS = {
     [(d, word) for d in (1, 2, 3) for word in _WORDS if d >= 2 or word != "X1.GRAD2"],
 )
 def test_bilinear_kernel_matches_dense_reference(d, word):
+    # across rules: the kernel on the cell's rule against the dense loop on the basis's
+    # 2K+2 rule; with M = N the cell's rule comes close to 2K+1 nodes
     w = _WORDS[word]
-    basis = HermiteBasis(1, bilinear_min_K(16) + w.order)
+    basis = HermiteBasis(1, bilinear_min_K(16, d) + w.order)
     for N in (4, 8, 16):
-        for M in (2, 4):
+        for M in sorted({2, 4, N}):
             got = derivative_bilinear_ratio(basis, d, w, w, N, M, math.pi, 2, 31)["raws"]
             want = _dense_reference_raws(basis, d, w, w, N, M, math.pi, 2, 31)
             assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -423,7 +453,7 @@ def test_bilinear_kernel_matches_dense_reference(d, word):
 @pytest.mark.parametrize("word", ["identity", "GRAD1"])
 def test_bilinear_phase_table_matches_dense_reference_at_large_N(word, monkeypatch):
     # at N = 64 the full phases (2m+1)t reach 2.5e4 rad; the kernel's e^{-2ijt} table
-    # must give the same raws and keep the very same support nodes
+    # must give the same raws and keep the very same support nodes of the cell's rule
     w = _WORDS[word]
     basis = HermiteBasis(1, bilinear_min_K(64) + w.order)
     seen, v_support = [], lab._v_support
@@ -437,7 +467,8 @@ def test_bilinear_phase_table_matches_dense_reference_at_large_N(word, monkeypat
         seen.clear()
         want_nodes = []
         got = derivative_bilinear_ratio(basis, 2, w, w, N, 2, math.pi, 1, 31)["raws"]
-        want = _dense_reference_raws(basis, 2, w, w, N, 2, math.pi, 1, 31, want_nodes)
+        want = _dense_reference_raws(basis, 2, w, w, N, 2, math.pi, 1, 31, want_nodes,
+                                     cell_rule=True)
         assert_allclose(got, want, rtol=1e-13, atol=0)
         assert len(seen) == len(want_nodes) == 2
         for (nodes, _), want_ax in zip(seen, want_nodes):
@@ -446,9 +477,9 @@ def test_bilinear_phase_table_matches_dense_reference_at_large_N(word, monkeypat
 
 def test_bilinear_trial_memory_bounded():
     # one N = 64 trial at d = 2 once held Q x time-node complex arrays per axis
-    # (3910 x 1024, 64 MB each), 131.5 MiB in all on top of the tables
+    # (3910 x 1024, 64 MB each), 131.5 MiB in all on top of the tables; the cell's
+    # own rule and value table are counted here
     basis = HermiteBasis(1, bilinear_min_K(64))
-    basis.values  # the tables are the basis's, built once outside the trial
     ident = PWord.identity()
     tracemalloc.start()
     try:
