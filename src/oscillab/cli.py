@@ -39,11 +39,12 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .hermite import HermiteBasis, MultiIndex, SpectralField
+from .hermite import HARD_CAP_K_EVAL, HEADROOM, HermiteBasis, MultiIndex, SpectralField
 from .operators import (IOperatorSpec, PWord, apply_I, bernstein_draws, bernstein_ratios,
                         sobolev_norm)
 from .solver import SolverConfig, evolve
 from .lab import (
+    _TUPLE_BLOCK,
     almost_orthogonality_scan,
     bilinear_min_K,
     derivative_bilinear_ratio,
@@ -235,11 +236,18 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
     if "M_list" in preset:  # bilinear: 1-D tables; a cell's phase table is the largest array
         nodes = time_node_count(T, max(N_list))
         key, size, what = "T", nodes * (K + 1) * 16, f"a phase table of {nodes} time nodes x {K + 1} modes"
+    elif cfg.experiment == "identity_k1":  # 1-D tables; 4 value and 3 derivative rows per tuple
+        size = 8 * (K + HEADROOM + 1) * (2 * K + 2) + 8 * 7 * _TUPLE_BLOCK * (K + 1)
+        key, what = "K", (f"a {K + HEADROOM + 1} x {2 * K + 2} value table and a gather of "
+                          f"7 x {_TUPLE_BLOCK} rows of {K + 1} nodes")
     else:
         key, size, what = "K", (2 * K + 2) ** d * 16, f"a {2 * K + 2}^{d} complex grid"
     if size > _MAX_ARRAY_BYTES:
         raise ConfigError(key, f"{key} = {resolved[key]} gives {what}, {size / 2 ** 30:.3g} GiB, "
                           f"over the {_MAX_ARRAY_BYTES // 2 ** 30} GiB bound")
+    if K + HEADROOM > HARD_CAP_K_EVAL:
+        raise ConfigError("K", f"K = {K} is over the largest basis degree, "
+                          f"{HARD_CAP_K_EVAL - HEADROOM}")
     return resolved, defaults
 
 

@@ -19,8 +19,7 @@ Conventions used throughout the package:
 * Transforms between coefficients and grid values run on *real planes*: a complex
   tensor of shape (n,)*d is held as a float array of shape (2,) + (n,)*d, real part
   first, and the real tables are applied to both planes at once by one contraction
-  primitive, _contract_planes.  It takes any number of planes: the solver's 2, or the
-  stacked real fields and gradients of the lab's quadrilinear integrals.
+  primitive, _contract_planes.
 """
 
 from __future__ import annotations
@@ -370,20 +369,20 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def _pass_buffers(d: int, k: int, m: int, planes: int = 2) -> list[np.ndarray]:
-    """Output buffers of the d passes of _contract_planes: (k,)*d planes to (m,)*d."""
-    return [np.empty((planes,) + (m,) * (j + 1) + (k,) * (d - j - 1)) for j in range(d)]
+def _pass_buffers(d: int, k: int, m: int) -> list[np.ndarray]:
+    """Output buffers of the d passes of _contract_planes: two (k,)*d planes to (m,)*d."""
+    return [np.empty((2,) + (m,) * (j + 1) + (k,) * (d - j - 1)) for j in range(d)]
 
 
 def _contract_planes(x: np.ndarray, table: np.ndarray, outs: list[np.ndarray]) -> np.ndarray:
     """Apply the real (m, k) `table` along every spatial axis of the planes x.
 
-    Plane layout: x has shape (p,) + (k,)*d, p real planes, e.g. the real and
-    imaginary parts of one complex tensor (p = 2), so each pass is a real GEMM (no
-    complex upcast of the table).  Pass j writes into outs[j] (see _pass_buffers):
-    axes 1..d-1 are contracted by left-multiplying, table @ x.reshape(lead, k, -1),
-    and the last axis by right-multiplying, x.reshape(-1, k) @ table.T.  Nothing is
-    allocated; returns outs[-1], of shape (p,) + (m,)*d.
+    Plane layout: x has shape (2,) + (k,)*d, the real and imaginary parts of one
+    complex tensor, so each pass is a real GEMM (no complex upcast of the table).
+    Pass j writes into outs[j] (see _pass_buffers): axes 1..d-1 are contracted by
+    left-multiplying, table @ x.reshape(lead, k, -1), and the last axis by
+    right-multiplying, x.reshape(-1, k) @ table.T.  Nothing is allocated; returns
+    outs[-1], of shape (2,) + (m,)*d.
     """
     m, k = table.shape
     lead = x.shape[0]

@@ -2,10 +2,12 @@
 
 Contents:
 
-* quadrilinear integrals over eigenfield tuples and the k = 1 integration-by-parts
-  identity relating int e1 e2 e3 e4 to gradient-pair integrals.  Every identity check
-  (all 1-D tuples, or sampled d >= 2 mode tuples) takes one path: products of 1-D
-  folded sums, each a fixed-order row sum, with no d-dim grid and no BLAS GEMM;
+* the k = 1 integration-by-parts identity relating int e1 e2 e3 e4 to gradient-pair
+  integrals, on single-mode tuples.  It has one route, identity_residual_tuples:
+  products of 1-D folded sums, each a fixed-order row sum, with no d-dim grid and no
+  BLAS GEMM.  The exhaustive 1-D scan, the sampled d >= 2 tuples and the one-tuple
+  functions of a QuadTuple (quad_L0, quad_L1_plus_weight, verify_identity_k1) all
+  read its rows;
 * an almost-orthogonality sweep (decay of the quadrilinear form in the separated
   eigenvalue): one dual projection of the trio, then a coefficient sum per trial field;
 * bilinear space-time measurements ||u_N v_M|| / (M^{(d-1)/2} N^{-1/2}) over random
@@ -14,11 +16,9 @@ Contents:
 * modified-energy increment scans and long-time Sobolev growth runs.
 
 Parity is handled exactly: a tuple whose degree sum is odd on any one axis
-integrates to 0.0 bitwise.  Node tables mirror exactly under x_j -> -x_j, and the
-quadrature sum folds each axis in turn onto its nonnegative half, so the mirror of
-every single axis cancels, not only the full mirror x -> -x.  The identity's tuple
-sums set an axis with an odd degree sum to 0.0 outright, and the sweep a shell whose
-total degree with the trio is odd.
+integrates to 0.0 bitwise, since the identity's tuple sums set such an axis to 0.0
+outright.  The sweep likewise reads 0.0 on a shell whose total degree with the trio is
+odd.
 
 The bilinear measurements tensorize per axis, and each cell integrates on its own
 Gauss rule, sized to the highest degrees of its windows.  On each axis the kernel
@@ -26,9 +26,9 @@ first bounds v's support from the coefficients alone, evaluates v only there, an
 runs the real-table products as real GEMMs on the interleaved view of the complex
 data.
 
-Every ladder letter here -- the gradients of the k = 1 identity, its 1-D derivative
-table and the words on the bilinear factors -- goes through the one kernel of
-operators (operators._apply_letter); lab holds no ladder coefficient of its own.
+Every ladder letter here -- the identity's 1-D derivative table and the words on the
+bilinear factors -- goes through the one kernel of operators (operators._letter_image);
+lab holds no ladder coefficient of its own.
 """
 
 from __future__ import annotations
@@ -39,22 +39,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .hermite import (HermiteBasis, MultiIndex, SpectralField, _contract_planes, _mirrored_values,
-                      _pass_buffers, galerkin_project, gauss_hermite_rule, synthesize)
-from .operators import (IOperatorSpec, PWord, _apply_letter, _letter_image, i_multiplier,
-                        sobolev_norm)
+from .hermite import (HermiteBasis, MultiIndex, SpectralField, _mirrored_values, galerkin_project,
+                      gauss_hermite_rule, synthesize)
+from .operators import IOperatorSpec, PWord, _letter_image, i_multiplier, sobolev_norm
 from .solver import SolverConfig, energy, run_recorded
 
 __all__ = [
+    "identity_residual_tuples",
+    "identity_residual_scan_1d",
+    # one tuple at a time: single rows of identity_residual_tuples
     "QuadTuple",
-    "ScalingFit",
-    "ResonantTupleError",
-    "fit_power_law",
     "quad_L0",
     "quad_L1_plus_weight",
     "verify_identity_k1",
-    "identity_residual_scan_1d",
-    "identity_residual_tuples",
+    "ResonantTupleError",
+    "ScalingFit",
+    "fit_power_law",
     "random_shell_field",
     "almost_orthogonality_scan",
     "bilinear_strichartz_ratio",
@@ -103,46 +103,23 @@ def fit_power_law(xs, ys) -> ScalingFit:
 # Quadrilinear integrals and the k = 1 identity
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class QuadTuple:
-    """Four real eigenfields e_i (each supported on a single eigenvalue shell)
-    with their eigenvalues mu_i^2 = 2|m| + d."""
+    """Four single-mode eigenfunctions h_m1 .. h_m4 of one basis (eigenvalues
+    mu_i^2 = 2|m_i| + d).  Build it with QuadTuple.from_modes."""
 
-    e1: SpectralField
-    e2: SpectralField
-    e3: SpectralField
-    e4: SpectralField
-    mu_sq_1: int
-    mu_sq_2: int
-    mu_sq_3: int
-    mu_sq_4: int
-
-    def __post_init__(self):
-        basis = self.e1.basis
-        for e in (self.e2, self.e3, self.e4):
-            if e.basis is not basis:
-                raise ValueError("all fields of a tuple must share one basis")
-        for e, mu in zip(self.fields, self.mu_sqs):
-            if np.abs(e.coeffs.imag).max() != 0.0:
-                raise ValueError("eigenfields must have real coefficients")
-            off_shell = e.coeffs.real[basis.lambda_sq != mu]
-            if off_shell.size and np.abs(off_shell).max() != 0.0:
-                raise ValueError(f"field is not supported on the shell mu^2 = {mu}")
-
-    @property
-    def fields(self):
-        return (self.e1, self.e2, self.e3, self.e4)
-
-    @property
-    def mu_sqs(self):
-        return (self.mu_sq_1, self.mu_sq_2, self.mu_sq_3, self.mu_sq_4)
+    basis: HermiteBasis
+    modes: tuple[MultiIndex, MultiIndex, MultiIndex, MultiIndex]
 
     @classmethod
     def from_modes(cls, basis: HermiteBasis, m1, m2, m3, m4) -> "QuadTuple":
-        modes = [MultiIndex(m) for m in (m1, m2, m3, m4)]
-        fields = [SpectralField.from_mode(basis, m) for m in modes]
-        mus = [2 * m.degree + basis.d for m in modes]
-        return cls(*fields, *mus)
+        modes = tuple(MultiIndex(m) for m in (m1, m2, m3, m4))
+        for m in modes:
+            if len(m) != basis.d:
+                raise ValueError(f"multi-index {tuple(m)} does not match dimension {basis.d}")
+            if max(m) > basis.K:
+                raise ValueError(f"mode {tuple(m)} exceeds the basis degree K = {basis.K}")
+        return cls(basis, modes)
 
 
 def random_shell_field(basis: HermiteBasis, mu_sq: int, rng) -> SpectralField:
@@ -157,54 +134,15 @@ def random_shell_field(basis: HermiteBasis, mu_sq: int, rng) -> SpectralField:
     return SpectralField(basis, coeffs)
 
 
-def _folded_rule_sum(integrand: np.ndarray, basis: HermiteBasis) -> float:
-    """Quadrature sum folded over the exact node mirror symmetry of each axis.
-
-    Each pass weights one axis and adds its mirror image x_j -> -x_j onto the
-    nonnegative half.  Values at mirrored nodes are bitwise +/- for integrands of
-    pure parity on that axis, so an integrand odd in any one axis sums to exactly 0.0
-    instead of accumulating roundoff.
-    """
-    W = basis.rule.weights
-    half = W.size // 2
-    G = integrand
-    for _ in range(G.ndim):
-        G = np.moveaxis(G, 0, -1) * W  # d passes restore the axis order
-        G = (G + G[..., ::-1])[..., :half]
-    return float(np.sum(G))
-
-
-def _quad_terms(qt: QuadTuple) -> tuple[float, float, float]:
-    """(L0, L1, Lx) of the tuple (see quad_L0 and quad_L1_plus_weight).
-
-    The four fields and their 4 d gradients, zero-padded to degree K + 1 on every
-    axis, are stacked as real planes and synthesized by one _contract_planes call.
-    """
-    basis = qt.e1.basis
-    d, n = basis.d, basis.K + 2
-    x = np.zeros((4 * (1 + d),) + (n,) * d)
-    for plane, e in zip(x, qt.fields):
-        plane[(slice(0, n - 1),) * d] = e.coeffs.real
-    tmp = np.empty_like(x[:4])
-    for ax in range(d):  # planes 4 (ax + 1) .. 4 (ax + 2) - 1: d/dx_ax of the fields
-        _apply_letter(x[:4], x[4 * (ax + 1):4 * (ax + 2)], tmp, "GRAD", ax + 1)
-    table = np.ascontiguousarray(basis.values[:n].T)
-    g = _contract_planes(x, table, _pass_buffers(d, n, basis.rule.size, x.shape[0]))
-    L0 = _folded_rule_sum(g[0] * g[1] * g[2] * g[3], basis)
-    L1 = 0.0
-    for (a, b), (c_, d_) in (((1, 2), (0, 3)), ((1, 3), (0, 2)), ((2, 3), (0, 1))):
-        dot = sum(g[4 * (ax + 1) + a] * g[4 * (ax + 1) + b] for ax in range(d))
-        L1 += _folded_rule_sum(dot * g[c_] * g[d_], basis)
-    xsq = nodes_sq = basis.rule.nodes ** 2
-    for _ in range(d - 1):
-        xsq = np.add.outer(xsq, nodes_sq)
-    Lx = _folded_rule_sum(xsq * g[0] * g[1] * g[2] * g[3], basis)
-    return L0, L1, Lx
+def _tuple_row(qt: QuadTuple) -> dict:
+    """The tuple's row of identity_residual_tuples."""
+    out = identity_residual_tuples(qt.basis.K, np.array(qt.modes)[None])
+    return {key: value[0] for key, value in out.items()}
 
 
 def quad_L0(qt: QuadTuple) -> float:
-    """L0 = int e1 e2 e3 e4 dx, exact on the basis rule (degree <= 4K < 2Q-1)."""
-    return _quad_terms(qt)[0]
+    """L0 = int e1 e2 e3 e4 dx, exact on the (2K + 2)-node rule (degree <= 4K)."""
+    return float(_tuple_row(qt)["L0"])
 
 
 def quad_L1_plus_weight(qt: QuadTuple) -> tuple[float, float]:
@@ -214,7 +152,8 @@ def quad_L1_plus_weight(qt: QuadTuple) -> tuple[float, float]:
                   + grad e3 . grad e4 (e1 e2)]
         Lx = int |x|^2 e1 e2 e3 e4.
     """
-    return _quad_terms(qt)[1:]
+    row = _tuple_row(qt)
+    return float(row["L1"]), float(row["Lx"])
 
 
 def verify_identity_k1(qt: QuadTuple) -> float:
@@ -223,12 +162,11 @@ def verify_identity_k1(qt: QuadTuple) -> float:
         L0 = rhs = -2 (L1 + Lx) / (mu1^2 - mu2^2 - mu3^2 - mu4^2);
 
     raises ResonantTupleError when the denominator vanishes (integer-exact test)."""
-    denom = qt.mu_sq_1 - qt.mu_sq_2 - qt.mu_sq_3 - qt.mu_sq_4
-    if denom == 0:
-        raise ResonantTupleError(f"resonant tuple: mu^2 = {qt.mu_sqs} (denominator vanishes)")
-    L0, L1, Lx = _quad_terms(qt)
-    rhs = -2.0 * (L1 + Lx) / denom
-    return abs(L0 - rhs) / (abs(L0) + 1e-30)
+    row = _tuple_row(qt)
+    if row["resonant"]:
+        raise ResonantTupleError(f"resonant tuple: mu^2 = {tuple(row['mu_sq'].tolist())} "
+                                 "(denominator vanishes)")
+    return float(row["residual"])
 
 
 def _half_tables(K: int):
@@ -265,6 +203,12 @@ def identity_residual_tuples(K: int, modes: np.ndarray) -> dict:
     Blocks of _TUPLE_BLOCK tuples, each reduced by its own fixed-order row sum: no value
     depends on the block size or on BLAS.  Returns mu_sq (T, 4) and per-tuple L0, L1,
     Lx, rhs, residual and resonant."""
+    modes = np.asarray(modes)
+    if modes.ndim != 3 or modes.shape[1] != 4 or not modes.shape[2] or modes.dtype.kind not in "iu":
+        raise ValueError(f"modes must be an integer array of shape (T, 4, d), got {modes.dtype} "
+                         f"of shape {modes.shape}")
+    if modes.size and not 0 <= modes.min() <= modes.max() <= K:
+        raise ValueError(f"mode degrees must lie in [0, K = {K}], got {modes.min()} .. {modes.max()}")
     A, D, Wh, X2 = _half_tables(K)
     T, _, d = modes.shape
     E, X, B = np.empty((3, d, T))

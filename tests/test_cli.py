@@ -207,6 +207,9 @@ def _refuse_to_drive(monkeypatch):
     ("experiment = conservation\nN_list = [4]\n", "N_list"),  # a key the row does not read
     ("experiment = conservation\ndt = 1e-300\n", "dt"),  # ~1e301 steps
     ("experiment = conservation\nd = 3\nK = 400\n", "K"),  # an 802^3 complex grid, 8.2 GB
+    ("experiment = identity_k1\nd = 3\nK = 12000\n", "K"),  # a 1-D value table of 2.1 GiB
+    ("experiment = identity_k1\nd = 2\nK = 4393\n", "K"),  # over the basis's hard cap
+    ("experiment = bernstein\nN_list = [128]\n", "K"),  # the derived K = 16383, likewise
     ("experiment = bilinear\nT = 1e6\n", "T"),  # 3.3e8 time nodes before the phase table
 ])
 def test_run_time_failures_refused_up_front(tmp_path, capsys, monkeypatch, command, text, key):
@@ -226,6 +229,8 @@ def test_run_time_failures_refused_up_front(tmp_path, capsys, monkeypatch, comma
     "experiment = identity_k1\nd = 2\nK = 40\n",
     "experiment = conservation\ndt = 1e-6\n",  # T / dt = 1e7 steps
     "experiment = conservation\nd = 3\nK = 250\n",  # 502^3 * 16 B, just below 2 GiB
+    "experiment = identity_k1\nd = 3\nK = 400\n",  # 1-D tables: no 802^3 grid is built
+    "experiment = identity_k1\nd = 3\nK = 4392\n",  # the largest basis degree
     "experiment = bilinear\nT = 200\n",  # 65,536 time nodes x 1955 phases x 16 B
 ])
 def test_validate_accepts_the_edges_of_the_up_front_checks(tmp_path, capsys, monkeypatch, text):
@@ -320,9 +325,13 @@ def test_a_key_outside_the_row_is_refused_by_name(name, key, value):
     assert repr(key) in str(err.value)
 
 
+def _readme_lines():
+    return (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+
+
 def _readme_key_table():
     """The README's experiment x key table: {experiment: {key: cell text}}."""
-    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    lines = _readme_lines()
     start = lines.index("| experiment | d | K | s | N_list | M_list | dt | T | trials |")
     header = [c.strip() for c in lines[start].strip("|").split("|")]
     table = {}
@@ -345,6 +354,14 @@ def test_readme_key_table_is_the_registry():
                 assert cells[key].startswith("derived:"), (name, key)
             else:
                 assert json.loads(cells[key].replace("π", repr(math.pi))) == value, (name, key)
+
+
+def test_readme_python_api_example_runs(capsys):
+    lines = _readme_lines()
+    begin = lines.index("```python", lines.index("## Python API")) + 1
+    exec("\n".join(lines[begin:lines.index("```", begin)]), {})
+    residual, _ = capsys.readouterr().out.splitlines()
+    assert float(residual) < 1e-13  # the comment there says ~ 1e-14
 
 
 def test_failed_manifest_write_keeps_the_previous_output(tmp_path, monkeypatch, capsys):

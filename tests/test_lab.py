@@ -94,24 +94,34 @@ def test_single_axis_odd_tuple_is_exact_zero_in_2d():
     assert L1 == 0.0 and Lx == 0.0
 
 
-def test_quad_tuple_rejects_mixed_shell_field():
-    basis = HermiteBasis(1, 8)
-    c = np.zeros(9, dtype=complex)
-    c[0] = 1.0
-    c[2] = 0.5  # different shell
-    mixed = SpectralField(basis, c)
-    ground = SpectralField.from_mode(basis, (0,))
-    with pytest.raises(ValueError):
-        QuadTuple(mixed, ground, ground, ground, 1, 1, 1, 1)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), K=st.integers(min_value=1, max_value=8))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quad_L0_is_the_first_quad_term_bitwise(d, K, data):
+    # the one-tuple functions read the tuple's row of identity_residual_tuples
+    mode = st.tuples(*[st.integers(min_value=0, max_value=K)] * d)
+    modes = data.draw(st.tuples(mode, mode, mode, mode))
+    row = lab.identity_residual_tuples(K, np.array([modes]))
+    qt = QuadTuple.from_modes(HermiteBasis(d, K), *modes)
+    assert np.float64(quad_L0(qt)).tobytes() == row["L0"].tobytes()
+    L1, Lx = quad_L1_plus_weight(qt)
+    assert np.float64(L1).tobytes() == row["L1"].tobytes()
+    assert np.float64(Lx).tobytes() == row["Lx"].tobytes()
+    if row["resonant"][0]:
+        with pytest.raises(ResonantTupleError):
+            verify_identity_k1(qt)
+    else:
+        assert np.float64(verify_identity_k1(qt)).tobytes() == row["residual"].tobytes()
 
 
-def test_quad_tuple_requires_shared_basis():
-    b1 = HermiteBasis(1, 8)
-    b2 = HermiteBasis(1, 8)
-    g1 = SpectralField.from_mode(b1, (0,))
-    g2 = SpectralField.from_mode(b2, (0,))
-    with pytest.raises(ValueError):
-        QuadTuple(g1, g1, g1, g2, 1, 1, 1, 1)
+@pytest.mark.parametrize("modes, match", [
+    (((0, 0), (0, -1), (0, 0), (0, 0)), ">= 0"),
+    (((0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)), "dimension 2"),
+    (((0, 0), (0, 9), (0, 0), (0, 0)), "K = 8"),
+])
+def test_quad_tuple_from_modes_checks_the_modes(modes, match):
+    with pytest.raises(ValueError, match=match):
+        QuadTuple.from_modes(HermiteBasis(2, 8), *modes)
 
 
 def test_identity_scan_small_exhaustive():
@@ -126,14 +136,6 @@ def test_identity_scan_small_exhaustive():
     # odd-parity tuples are exactly zero on both sides
     assert scan["L0"][1, 0, 0, 0] == 0.0
     assert scan["L0"][3, 0, 0, 0] == 0.0
-
-
-def test_identity_scan_matches_quad_tuple_route():
-    basis = HermiteBasis(1, 6)
-    scan = identity_residual_scan_1d(6)
-    for modes in [(0, 0, 0, 0), (2, 2, 0, 0), (4, 2, 2, 4), (6, 1, 1, 2)]:
-        qt = QuadTuple.from_modes(basis, *[(k,) for k in modes])
-        assert quad_L0(qt) == pytest.approx(scan["L0"][modes], rel=1e-13, abs=1e-18)
 
 
 def test_identity_scan_is_the_tuple_path_on_c_order_tuples():
@@ -575,7 +577,7 @@ def test_norm_growth_experiment_smoke():
 
 
 # ---------------------------------------------------------------------------
-# The stacked quadrilinear terms
+# Sampled single-mode tuples as products of 1-D folded sums
 # ---------------------------------------------------------------------------
 
 _SCAN_K = 5
@@ -590,73 +592,6 @@ def _tuple_modes(d):
     mode = st.tuples(*[st.integers(min_value=0, max_value=_SCAN_K)] * d)
     return st.tuples(mode, mode, mode, mode)
 
-
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-@pytest.mark.parametrize("d", [2, 3])
-def test_quad_terms_factorize_over_axes(d, data):
-    # a single-mode tuple is a product over axes of 1-D tuples:
-    # L0 = prod_j L0_j and Lx = sum_j Lx_j prod_{k != j} L0_k
-    modes = data.draw(_tuple_modes(d))
-    scan = _scan_1d()
-    per_axis = [tuple(m[ax] for m in modes) for ax in range(d)]
-    L0_ax = [scan["L0"][t] for t in per_axis]
-    Lx_ax = [scan["Lx"][t] for t in per_axis]
-    want_L0 = math.prod(L0_ax)
-    terms = [Lx_ax[j] * math.prod(L0_ax[:j] + L0_ax[j + 1:]) for j in range(d)]
-    want_Lx = sum(terms)
-    L0, _, Lx = lab._quad_terms(QuadTuple.from_modes(HermiteBasis(d, _SCAN_K), *modes))
-    assert L0 == pytest.approx(want_L0, rel=1e-13, abs=1e-18)
-    # the axis terms can cancel exactly (modes (0,0),(0,0),(0,0),(0,2) give Lx = 0),
-    # so the roundoff scale of Lx is sum_j |term_j|, not |Lx|
-    assert Lx == pytest.approx(want_Lx, rel=1e-13, abs=1e-13 * sum(map(abs, terms)))
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-@pytest.mark.parametrize("d", [2, 3])
-def test_quad_terms_single_axis_odd_tuple_is_exact_zero(d, data):
-    modes = [list(m) for m in data.draw(_tuple_modes(d))]
-    axis = data.draw(st.integers(min_value=0, max_value=d - 1))
-    if sum(m[axis] for m in modes) % 2 == 0:  # make the degree sum on `axis` odd
-        modes[0][axis] += 1 if modes[0][axis] < _SCAN_K else -1
-    qt = QuadTuple.from_modes(HermiteBasis(d, _SCAN_K), *modes)
-    assert lab._quad_terms(qt) == (0.0, 0.0, 0.0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=st.data(), K=st.integers(min_value=1, max_value=8))
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_quad_L0_is_the_first_quad_term_bitwise(d, K, data):
-    mode = st.tuples(*[st.integers(min_value=0, max_value=K)] * d)
-    modes = data.draw(st.tuples(mode, mode, mode, mode))
-    qt = QuadTuple.from_modes(HermiteBasis(d, K), *modes)
-    L0, L1, Lx = lab._quad_terms(qt)
-    assert quad_L0(qt) == L0
-    assert quad_L1_plus_weight(qt) == (L1, Lx)
-
-
-def test_quad_terms_shell_fields_match_mode_sums():
-    # random real shell fields: L0 is linear in each field, so it is the coefficient-
-    # weighted sum of single-mode L0s
-    basis = HermiteBasis(2, 4)
-    rng = np.random.default_rng(12)
-    fields = [random_shell_field(basis, mu, rng) for mu in (8, 6, 4, 6)]
-    qt = QuadTuple(*fields, 8, 6, 4, 6)
-    want = 0.0
-    supports = [np.argwhere(e.coeffs.real != 0.0) for e in fields]
-    for m1 in supports[0]:
-        for m2 in supports[1]:
-            for m3 in supports[2]:
-                for m4 in supports[3]:
-                    c = math.prod(e.coeffs.real[tuple(m)] for e, m in zip(fields, (m1, m2, m3, m4)))
-                    want += c * quad_L0(QuadTuple.from_modes(basis, m1, m2, m3, m4))
-    assert lab._quad_terms(qt)[0] == pytest.approx(want, rel=1e-12, abs=1e-16)
-
-
-# ---------------------------------------------------------------------------
-# Sampled single-mode tuples as products of 1-D folded sums
-# ---------------------------------------------------------------------------
 
 def _draw_modes(d, K, n, seed):
     rng = np.random.default_rng(seed)
@@ -692,45 +627,42 @@ def _exact_terms(modes, K):
             sum(X[a] * rest[a] for a in range(d)))
 
 
-@pytest.mark.parametrize("d, K", [(2, 24), (3, 12)])
-def test_identity_tuples_L0_matches_exact_reference(d, K):
+# d = 3 tuples whose 1-D sums cancel far below their absolute node sums
+_CANCELLING = np.array([((0, 4, 0), (4, 0, 1), (5, 1, 1), (5, 5, 0)),
+                        ((0, 0, 3), (4, 0, 0), (4, 0, 4), (4, 0, 5))])
+
+
+def _reference_inputs(d, K):
     modes = _draw_modes(d, K, 200, seed=d)
+    return np.concatenate([modes, _CANCELLING]) if d == 3 else modes
+
+
+@pytest.mark.parametrize("d, K", [(2, 24), (3, 12), (3, 5)])
+def test_identity_tuples_L0_matches_exact_reference(d, K):
+    modes = _reference_inputs(d, K)
     out = lab.identity_residual_tuples(K, modes)
     assert np.abs(out["L0"] - _exact_terms(modes, K)[0]).max() <= 1e-14
     assert np.array_equal(out["mu_sq"], 2 * modes.sum(axis=2) + d)
 
 
-@pytest.mark.parametrize("d, K", [(2, 24), (3, 12)])
+@pytest.mark.parametrize("d, K", [(2, 24), (3, 12), (3, 5)])
 def test_identity_tuples_L1_Lx_match_exact_reference(d, K):
-    modes = _draw_modes(d, K, 200, seed=d)
+    modes = _reference_inputs(d, K)
     out = lab.identity_residual_tuples(K, modes)
     _, L1, Lx = _exact_terms(modes, K)
     assert np.abs(out["L1"] - L1).max() <= 1e-14
     assert np.abs(out["Lx"] - Lx).max() <= 1e-14
 
 
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-@pytest.mark.parametrize("d", [2, 3])
-def test_identity_tuples_match_quad_terms(d, data):
-    # the same tolerance as test_quad_terms_factorize_over_axes: an axis sum can cancel,
-    # so L1 and Lx are compared on the scale sum_a |axis term a|
-    tuples = data.draw(st.lists(_tuple_modes(d), min_size=1, max_size=6))
-    out = lab.identity_residual_tuples(_SCAN_K, np.array(tuples))
-    axis_basis, basis = HermiteBasis(1, _SCAN_K), HermiteBasis(d, _SCAN_K)
-    for t, modes in enumerate(tuples):
-        qt = QuadTuple.from_modes(basis, *modes)
-        L0, L1, Lx = lab._quad_terms(qt)
-        per_axis = [lab._quad_terms(QuadTuple.from_modes(axis_basis, *[(m[a],) for m in modes]))
-                    for a in range(d)]
-        rest = [math.prod(abs(per_axis[b][0]) for b in range(d) if b != a) for a in range(d)]
-        scale_L1 = sum(abs(per_axis[a][1]) * rest[a] for a in range(d))
-        scale_Lx = sum(abs(per_axis[a][2]) * rest[a] for a in range(d))
-        assert out["L0"][t] == pytest.approx(L0, rel=1e-13, abs=1e-18)
-        assert out["L1"][t] == pytest.approx(L1, rel=1e-13, abs=1e-13 * scale_L1)
-        assert out["Lx"][t] == pytest.approx(Lx, rel=1e-13, abs=1e-13 * scale_Lx)
-        assert tuple(out["mu_sq"][t]) == qt.mu_sqs
-        assert out["resonant"][t] == (qt.mu_sq_1 - qt.mu_sq_2 - qt.mu_sq_3 - qt.mu_sq_4 == 0)
+@pytest.mark.parametrize("modes, match", [
+    ([[(-1,), (0,), (0,), (1,)]], "in \\[0, K = 6\\]"),  # would read the table's last row
+    ([[(7,), (0,), (0,), (1,)]], "in \\[0, K = 6\\]"),
+    ([[(0,), (0,), (0,)]], "shape"),
+    ([[(0.0,), (0.0,), (0.0,), (0.0,)]], "integer"),
+])
+def test_identity_tuples_refuse_modes_outside_the_table(modes, match):
+    with pytest.raises(ValueError, match=match):
+        lab.identity_residual_tuples(6, np.array(modes))
 
 
 def test_identity_tuples_do_not_depend_on_the_block_size(monkeypatch):
