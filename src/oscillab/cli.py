@@ -10,8 +10,14 @@ two files into the output directory:
   byte-identical across reruns with the same config and seed;
 * ``manifest.json`` — canonical-form JSON (sorted keys) echoing the raw config
   text byte-identically, plus the fully resolved configuration (every applied
-  default), derived parameters (quadrature sizes, windows, delta, ...), package
-  version, wall time, summary statistics and taint flags.
+  default), derived parameters (quadrature sizes, such as each bilinear cell's space
+  and time rules Q and P, windows, delta, ...), package version, wall time, summary
+  statistics and taint flags.
+
+A config is refused, naming the key, before any table is built (_resolve).  Its
+largest array is priced from the inputs; for the bilinear experiments that is the
+phase table, P time nodes by the widest window, both bounded from N, M and d; T
+enters only through whether it is a multiple of pi.
 
 Determinism: all randomness derives from per-cell ``SeedSequence((seed, tags...))``
 streams and parallel cells are merged by index, so ``--threads`` (or the
@@ -43,17 +49,9 @@ from .hermite import HARD_CAP_K_EVAL, HEADROOM, HermiteBasis, MultiIndex, Spectr
 from .operators import (IOperatorSpec, PWord, apply_I, bernstein_draws, bernstein_ratios,
                         sobolev_norm)
 from .solver import SolverConfig, evolve
-from .lab import (
-    _TUPLE_BLOCK,
-    almost_orthogonality_scan,
-    bilinear_min_K,
-    derivative_bilinear_ratio,
-    energy_increment_scan,
-    fit_power_law,
-    identity_residual_tuples,
-    norm_growth_experiment,
-    time_node_count,
-)
+from .lab import (_TUPLE_BLOCK, _bandwidth_bound, _time_rule, almost_orthogonality_scan,
+                  bilinear_min_K, derivative_bilinear_ratio, energy_increment_scan, fit_power_law,
+                  identity_residual_tuples, norm_growth_experiment)
 
 __all__ = [
     "ConfigError",
@@ -223,7 +221,7 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
     if resolved["output_dir"] is None:
         resolved["output_dir"] = defaults["output_dir"] = os.path.join("runs", cfg.experiment)
     # refused here, before any table is built or any step is taken
-    d, K, s, N_list, dt, T = (resolved[k] for k in ("d", "K", "s", "N_list", "dt", "T"))
+    d, K, s, N_list, M_list, dt, T = (resolved[k] for k in ("d", "K", "s", "N_list", "M_list", "dt", "T"))
     if cfg.experiment in ("energy_increment", "bernstein") and any(N & (N - 1) for N in N_list):
         raise ConfigError("N_list", f"N_list must hold powers of two, got {N_list}")
     if cfg.experiment == "energy_increment" and not s > 1.0:
@@ -234,8 +232,14 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
     if dt is not None and T / dt > _MAX_STEPS:
         raise ConfigError("dt", f"T / dt = {T / dt:.3g} steps exceeds {_MAX_STEPS:.0e}")
     if "M_list" in preset:  # bilinear: 1-D tables; a cell's phase table is the largest array
-        nodes = time_node_count(T, max(N_list))
-        key, size, what = "T", nodes * (K + 1) * 16, f"a phase table of {nodes} time nodes x {K + 1} modes"
+        if min(N_list) < max(M_list):
+            raise ConfigError("M_list", f"M_list must not exceed min(N_list) = {min(N_list)} "
+                              f"(u carries the high frequency), got {M_list}")
+        word_a = preset["K"].keywords["word_a"]  # the row's word on u; v's is empty
+        B = _bandwidth_bound(max(N_list), max(M_list), d, word_a.order)
+        nodes = _time_rule(T, B)[0].size  # a window is at most B + 1 modes wide
+        key, size = "N_list", nodes * (B + 1) * 16
+        what = f"a phase table of {nodes} time nodes x {B + 1} modes"
     elif cfg.experiment == "identity_k1":  # 1-D tables; 4 value and 3 derivative rows per tuple
         size = 8 * (K + HEADROOM + 1) * (2 * K + 2) + 8 * 7 * _TUPLE_BLOCK * (K + 1)
         key, what = "K", (f"a {K + HEADROOM + 1} x {2 * K + 2} value table and a gather of "
@@ -431,30 +435,21 @@ def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
     N_list, M_list = resolved["N_list"], resolved["M_list"]
     T, trials = resolved["T"], resolved["trials"]
     axis_basis = HermiteBasis(1, K)  # caps the draws; each cell builds its own rule
-
     cells = [(int(N), int(M)) for M in M_list for N in N_list]
-
-    def cell(nm):
-        N, M = nm
-        return derivative_bilinear_ratio(
-            axis_basis, d, word_a, word_b, N, M, T, trials, seed
-        )
-
-    results = _map_cells(cell, cells, threads)
+    results = _map_cells(lambda nm: derivative_bilinear_ratio(
+        axis_basis, d, word_a, word_b, *nm, T, trials, seed), cells, threads)
     N_col, M_col = np.repeat(cells, trials, axis=0).T
     table = {"N": N_col, "M": M_col, "trial": np.tile(np.arange(trials), len(cells)),
              "raw_norm": np.concatenate([res["raws"] for res in results]),
              "ratio": np.concatenate([res["ratios"] for res in results])}
     by_cell = {nm: res for nm, res in zip(cells, results)}
+    Ns = sorted({int(N) for N in N_list})
     per_M = {}
     for M in M_list:
-        Ns = sorted({int(N) for N in N_list})
         raw_max = {N: by_cell[(N, M)]["raw_max"] for N in Ns}
         ratio_max = {N: by_cell[(N, M)]["ratio_max"] for N in Ns}
-        entry = {
-            "raw_max_by_N": {str(N): raw_max[N] for N in Ns},
-            "ratio_max_by_N": {str(N): ratio_max[N] for N in Ns},
-        }
+        entry = {"raw_max_by_N": {str(N): raw_max[N] for N in Ns},
+                 "ratio_max_by_N": {str(N): ratio_max[N] for N in Ns}}
         if len(Ns) >= 2:
             fit = fit_power_law(Ns, [raw_max[N] for N in Ns])
             entry["raw_exponent"] = fit.slope
@@ -462,13 +457,9 @@ def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
             entry["ratio_top_over_prev"] = ratio_max[Ns[-1]] / ratio_max[Ns[-2]]
         per_M[str(M)] = entry
     summary = {"per_M": per_M, "word_a": _word_label(word_a), "word_b": _word_label(word_b)}
-    derived = {
-        "K": K,
-        "K_needed": _bilinear_K(resolved, word_a),
-        "time_nodes_max": time_node_count(T, max(N_list)),
-        "normalization_by_cell": {f"N={N},M={M}": by_cell[(N, M)]["normalization"] for (N, M) in cells},
-        "Q_by_cell": {f"N={N},M={M}": by_cell[(N, M)]["Q"] for (N, M) in cells},
-    }
+    derived = {"K": K, "K_needed": _bilinear_K(resolved, word_a),
+               **{f"{key}_by_cell": {f"N={N},M={M}": by_cell[(N, M)][key] for N, M in cells}
+                  for key in ("normalization", "Q", "P")}}
     return DriverResult(table, summary, derived, [])
 
 
@@ -589,7 +580,7 @@ def _run_energy_increment(resolved: dict, threads: int) -> DriverResult:
         "delta_by_N": delta_by_N,
         "record_every": _INC_RECORD_EVERY,
         "datum": {"body_decay": _INC_BODY_DECAY, "body_degree_cut": _INC_BODY_DEG_CUT,
-                  "ring_amplitude": _INC_RING_AMP, "ring_degree": int(2 * K)},
+                  "ring_amplitude": _INC_RING_AMP, "ring_degree": d * K},
         "Q": 2 * K + 2,
     }
     taints = ["solver_spillage"] if res["diagnostics"]["tainted"] else []

@@ -21,10 +21,11 @@ outright.  The sweep likewise reads 0.0 on a shell whose total degree with the t
 odd.
 
 The bilinear measurements tensorize per axis, and each cell integrates on its own
-Gauss rule, sized to the highest degrees of its windows.  On each axis the kernel
-first bounds v's support from the coefficients alone, evaluates v only there, and
-runs the real-table products as real GEMMs on the interleaved view of the complex
-data.
+Gauss rule, sized to the highest degrees of its windows.  The flow is pi-periodic up
+to a phase, so in time each cell integrates exactly, for any T, on equispaced nodes
+in [0, pi): B + 1 at a multiple of pi and 2B + 1 else, B its windows' bandwidth.
+The kernel bounds v's support from the coefficients alone, tables values only there,
+and runs the real-table products as real GEMMs on the interleaved complex data.
 
 Every ladder letter here -- the identity's 1-D derivative table and the words on the
 bilinear factors -- goes through the one kernel of operators (operators._letter_image);
@@ -40,7 +41,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .hermite import (HermiteBasis, MultiIndex, SpectralField, _mirrored_values, galerkin_project,
-                      gauss_hermite_rule, synthesize)
+                      gauss_hermite_rule, hermite_values_1d, synthesize)
 from .operators import IOperatorSpec, PWord, _letter_image, i_multiplier, sobolev_norm
 from .solver import SolverConfig, energy, run_recorded
 
@@ -60,7 +61,6 @@ __all__ = [
     "bilinear_strichartz_ratio",
     "derivative_bilinear_ratio",
     "bilinear_min_K",
-    "time_node_count",
     "energy_increment_scan",
     "norm_growth_experiment",
 ]
@@ -353,21 +353,23 @@ def _draw_packet_pair(rng, d: int, N: int, M: int, T: float, K_cap: int):
     return u_axes, v_axes
 
 
-def time_node_count(T: float, N: int) -> int:
-    """Nodes of _time_rule(T, N): panels shrink like 1/N to resolve the O(1/(2N))
-    crossing spike, 8 Gauss-Legendre nodes per panel."""
-    return 8 * max(8, 2 * N) * max(1, int(math.ceil(T / math.pi - 1e-12)))
+def _time_rule(T: float, B: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t_k = pi k / P on [0, pi) and weights (T + 2 Re sum_{n=1..B} I_n e^{2int_k}) / P,
+    I_n = (1 - e^{-2inT}) / (2in), that integrate every e^{2int}, |n| <= B, exactly over
+    [0, T]: P = 2B + 1, or B + 1 when T is the float k pi and every I_n is 0."""
+    periodic = round(T / math.pi) * math.pi == T
+    P = B + 1 if periodic else 2 * B + 1
+    n = np.arange(1, 1 if periodic else B + 1)
+    I_n = np.r_[0.0, (1.0 - np.exp(-2j * n * T)) / (2j * n)]
+    return math.pi * np.arange(P) / P, (T + 2.0 * P * np.fft.ifft(I_n, P).real) / P
 
 
-def _time_rule(T: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre in time on time_node_count(T, N) nodes."""
-    g, w = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(0.0, T, time_node_count(T, N) // g.size + 1)
-    h = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    tg = (mid[:, None] + h[:, None] * g[None, :]).ravel()
-    tw = (h[:, None] * w[None, :]).ravel()
-    return tg, tw
+def _bandwidth_bound(N: int, M: int, d: int, order: int) -> int:
+    """Bound on derivative_bilinear_ratio's bandwidth B, words of `order` letters in all:
+    a window of mean degree nbar is <= 10 sqrt(nbar) + 7 wide (_coherent_axis), a letter
+    adds <= 2, and sum_axes sqrt(nbar) <= sqrt(d sum nbar), sum nbar <= (N^2 + M^2) / 2."""
+    return math.ceil(10.0 * (math.sqrt(d * (N * N + M * M) / 2.0) + math.sqrt(d * M * M / 2.0))
+                     + 12 * d + 2 * order)
 
 
 def _time_series(c: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -378,18 +380,21 @@ def _time_series(c: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return (c[:, None] * phases[:c.size]).view(float)
 
 
-def _v_support(Vv: np.ndarray, cv: np.ndarray, phases: np.ndarray):
-    """(nodes, |gv|^2 there): v's support, cut at 1e-11 of its peak amplitude.  For every
-    t, |gv(x, t)| <= sum_m |c_m| |h_m(x)|, and max |gv| >= max_x |gv(x, tg[0])|, so the
-    cut lies inside `cand` (half the floor covers roundoff)."""
-    ev = _time_series(cv, phases)
-    floor = 1e-11 * np.abs((Vv.T @ ev[:, :2]).view(complex)).max()
-    cand = np.flatnonzero(np.abs(cv) @ np.abs(Vv) > 0.5 * floor)
-    abs_gv = np.abs((Vv[:, cand].T @ ev).view(complex))
+def _v_candidates(Vv: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """Nodes where v may reach 1e-11 of its peak: |gv(x, t)| <= sum_m |c_m| |h_m(x)| at
+    every t, and max |gv| >= max_x |gv(x, 0)| (half the floor covers roundoff)."""
+    floor = 1e-11 * np.abs((Vv.T @ cv.view(float).reshape(-1, 2)).view(complex)).max()
+    return np.flatnonzero(np.abs(cv) @ np.abs(Vv) > 0.5 * floor)
+
+
+def _v_support(Vv: np.ndarray, cols: np.ndarray, cv: np.ndarray, phases: np.ndarray):
+    """(columns, |gv|^2 there): v's support among the candidate columns `cols` of its
+    rows Vv, cut at 1e-11 of its peak amplitude."""
+    abs_gv = np.abs((Vv[:, cols].T @ _time_series(cv, phases)).view(complex))
     peak = abs_gv.max(axis=1)
     sup = peak > 1e-11 * peak.max()
     gv_sq = abs_gv[sup]
-    return cand[sup], np.square(gv_sq, out=gv_sq)
+    return cols[sup], np.square(gv_sq, out=gv_sq)
 
 
 def bilinear_min_K(N: int, d: int = 2) -> int:
@@ -418,14 +423,18 @@ def derivative_bilinear_ratio(
 
     `basis` is a 1-D axis basis (packets tensorize, so all grid work is 1-D) and
     supplies only its degree: basis.K >= bilinear_min_K(max(N, M), d) caps the draws.
-    Returns per-trial raw norms and ratios plus their max, and the cell's rule size Q.
+    Returns per-trial raw norms and ratios plus their max, and the cell's rule sizes
+    Q (space) and P (time).
 
     The trials are drawn first.  Per axis the integrand |gu|^2 |gv|^2 is a polynomial
     of degree <= 2 top_u + 2 top_v times e^{-2x^2}, with top_u, top_v the highest
     degrees of the cell's u and v windows, so the cell's own w = 2 rule of
-    Q = top_u + top_v + 1 nodes integrates it exactly.  Only |gu| and |gv| enter, so
-    each window's common phase drops out (_time_series): one table e^{-2ijt} as wide
-    as the widest window serves every trial and axis of the call.
+    Q = top_u + top_v + 1 nodes integrates it exactly; values are tabled only on the
+    nodes v can reach (_v_candidates).  In time it is a trigonometric polynomial in
+    e^{2it} of bandwidth sum_axes (w_u - 1) + (w_v - 1), w the window widths, and the
+    largest over the trials, B, sizes the exact time rule.  Only |gu| and |gv| enter,
+    so each window's common phase drops out (_time_series): one table e^{-2ijt} as
+    wide as the widest window serves every trial and axis.
     """
     if basis.d != 1:
         raise ValueError("pass a 1-D axis basis; tensor packets factorize per axis")
@@ -444,7 +453,6 @@ def derivative_bilinear_ratio(
             if ax > d:
                 raise ValueError(f"word axis {ax} exceeds dimension {d}")
     K_draw = basis.K - max_ord  # ladder letters raise the top degree by one each
-    tg, tw = _time_rule(T, N)
     pairs = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, N, M, trial)))
@@ -457,14 +465,21 @@ def derivative_bilinear_ratio(
     top_u = max(m0 + c.size - 1 for u_axes, _ in pairs for m0, c in u_axes)
     top_v = max(m0 + c.size - 1 for _, v_axes in pairs for m0, c in v_axes)
     rule = gauss_hermite_rule(top_u + top_v + 1, 2)
-    V, W = _mirrored_values(max(top_u, top_v), rule), rule.weights
+    Vv = _mirrored_values(top_v, rule)
+    cands = [[_v_candidates(Vv[m0:m0 + c.size], c) for m0, c in v_axes] for _, v_axes in pairs]
+    S = np.unique(np.concatenate([cand for axes in cands for cand in axes]))
+    del Vv  # freed before the table on S, which may be as large at M = N
+    V, W = hermite_values_1d(max(top_u, top_v), rule.nodes[S]), rule.weights[S]
     width = max(c.size for u_axes, v_axes in pairs for _, c in u_axes + v_axes)
+    B = max(sum(c.size - 1 for _, c in u_axes + v_axes) for u_axes, v_axes in pairs)
+    tg, tw = _time_rule(T, B)
     phases = np.exp(-2j * np.outer(np.arange(width), tg))  # one table for the cell
     raws = np.empty(trials)
-    for trial, (u_axes, v_axes) in enumerate(pairs):
+    for trial, ((u_axes, v_axes), cand_axes) in enumerate(zip(pairs, cands)):
         prof = np.ones_like(tg)
-        for (m0u, cu), (m0v, cv) in zip(u_axes, v_axes):
-            nodes, gv_sq = _v_support(V[m0v:m0v + cv.size], cv, phases)  # gu gv = 0 off it
+        for (m0u, cu), (m0v, cv), cand in zip(u_axes, v_axes, cand_axes):
+            cols = np.searchsorted(S, cand)  # columns of V
+            nodes, gv_sq = _v_support(V[m0v:m0v + cv.size], cols, cv, phases)  # gu gv = 0 off it
             gu = V[m0u:m0u + cu.size][:, nodes].T @ _time_series(cu, phases)
             np.square(gu, out=gu)  # the tail runs in place: |gu|^2 |gv|^2 in gv_sq
             abs_sq_gu = gu[:, 0::2]
@@ -475,16 +490,9 @@ def derivative_bilinear_ratio(
     normalization = (float(N) ** word_a.order * float(M) ** word_b.order
                      * float(M) ** ((d - 1) / 2.0) * float(N) ** -0.5)
     ratios = raws / normalization
-    return {
-        "N": N,
-        "M": M,
-        "raws": raws,
-        "ratios": ratios,
-        "ratio_max": float(ratios.max()),
-        "raw_max": float(raws.max()),
-        "normalization": normalization,
-        "Q": rule.size,
-    }
+    return {"raws": raws, "ratios": ratios, "ratio_max": float(ratios.max()),
+            "raw_max": float(raws.max()), "normalization": normalization, "Q": rule.size,
+            "P": tg.size}
 
 
 def bilinear_strichartz_ratio(

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from oscillab import cli, lab
 from oscillab.cli import (
     ConfigError,
     EXPERIMENTS,
@@ -29,6 +30,7 @@ from oscillab.cli import (
     parse_config,
     run,
 )
+from oscillab.hermite import HermiteBasis
 
 FAST_IDENTITY = "experiment = identity_k1\nK = 5\nseed = 42\n"
 
@@ -210,7 +212,7 @@ def _refuse_to_drive(monkeypatch):
     ("experiment = identity_k1\nd = 3\nK = 12000\n", "K"),  # a 1-D value table of 2.1 GiB
     ("experiment = identity_k1\nd = 2\nK = 4393\n", "K"),  # over the basis's hard cap
     ("experiment = bernstein\nN_list = [128]\n", "K"),  # the derived K = 16383, likewise
-    ("experiment = bilinear\nT = 1e6\n", "T"),  # 3.3e8 time nodes before the phase table
+    ("experiment = bilinear\nN_list = [4, 8]\nM_list = [8]\n", "M_list"),  # the cell N=4, M=8
 ])
 def test_run_time_failures_refused_up_front(tmp_path, capsys, monkeypatch, command, text, key):
     _refuse_to_drive(monkeypatch)
@@ -231,7 +233,10 @@ def test_run_time_failures_refused_up_front(tmp_path, capsys, monkeypatch, comma
     "experiment = conservation\nd = 3\nK = 250\n",  # 502^3 * 16 B, just below 2 GiB
     "experiment = identity_k1\nd = 3\nK = 400\n",  # 1-D tables: no 802^3 grid is built
     "experiment = identity_k1\nd = 3\nK = 4392\n",  # the largest basis degree
-    "experiment = bilinear\nT = 200\n",  # 65,536 time nodes x 1955 phases x 16 B
+    "experiment = bilinear\nT = 200\n",  # the time rule does not grow with T:
+    "experiment = bilinear\nT = 400\n",  # B + 1 nodes at a multiple of pi, 2B + 1 else
+    "experiment = bilinear\nT = 1e6\n",
+    "experiment = bilinear\nN_list = [8, 8]\nM_list = [2, 8]\n",  # M = N is a cell
 ])
 def test_validate_accepts_the_edges_of_the_up_front_checks(tmp_path, capsys, monkeypatch, text):
     _refuse_to_drive(monkeypatch)
@@ -260,6 +265,42 @@ def test_validate_resolves_the_K_that_run_uses(tmp_path, capsys, text):
         Q_by_cell = manifest["derived"]["Q_by_cell"]
         assert Q_by_cell.keys() == manifest["derived"]["normalization_by_cell"].keys()
         assert all(1 <= Q <= 2 * manifest["derived"]["K"] + 1 for Q in Q_by_cell.values())
+        assert manifest["derived"]["P_by_cell"].keys() == Q_by_cell.keys()
+        assert "time_nodes_max" not in manifest["derived"]
+
+
+@pytest.mark.parametrize("experiment", ["bilinear", "bilinear_derivative"])
+@pytest.mark.parametrize("d,T", [(d, T) for d in (1, 2, 3) for T in (math.pi, 7.0)])
+def test_bilinear_price_bounds_the_phase_table(tmp_path, monkeypatch, experiment, d, T):
+    # the kernel's phase table (widest window x P) of every cell, then the price: a bound
+    # one byte below the largest table must refuse the config on N_list
+    tables, v_support = [], lab._v_support
+
+    def spy(Vv, cols, cv, phases):
+        tables.append(phases.nbytes)
+        return v_support(Vv, cols, cv, phases)
+
+    monkeypatch.setattr(lab, "_v_support", spy)
+    text = (f"experiment = {experiment}\nd = {d}\nT = {T!r}\nN_list = [4, 8, 16]\n"
+            "M_list = [2, 4]\ntrials = 4\nseed = 3\n")
+    assert main(["run", _write(tmp_path, text), "--output-dir", str(tmp_path / "out")]) == 0
+    monkeypatch.setattr(cli, "_MAX_ARRAY_BYTES", max(tables) - 1)
+    with pytest.raises(ConfigError) as refused:
+        cli._resolve(parse_config(text))
+    assert refused.value.key == "N_list"
+
+
+@pytest.mark.parametrize("d,K", [(1, 16), (3, 4)])
+def test_energy_increment_manifest_records_the_band_degree(tmp_path, d, K):
+    # the band sits on the top three total degrees, d K - 2 .. d K
+    text = (f"experiment = energy_increment\nd = {d}\nK = {K}\nN_list = [2, 4]\ndt = 0.001\n"
+            "T = 0.002\nseed = 3\n")
+    out = tmp_path / "e"
+    assert main(["run", _write(tmp_path, text), "--output-dir", str(out)]) == 0
+    ring_degree = json.loads((out / "manifest.json").read_text())["derived"]["datum"]["ring_degree"]
+    basis = HermiteBasis(d, K)
+    degrees = (basis.lambda_sq - d) // 2
+    assert ring_degree == d * K == degrees[cli._increment_datum(basis, 3).coeffs != 0].max()
 
 
 # valid values for every optional key: every combination of them passes the up-front checks
@@ -283,8 +324,12 @@ def _row_config(draw):
     keys = draw(st.sets(st.sampled_from(sorted(EXPERIMENTS[name][2]) + ["output_dir"])))
     if name == "bernstein" and "d" in keys:  # the preset N_list at d = 3 gives an 8190^3 grid
         keys.add("N_list")
-    return {"experiment": name, "seed": draw(st.integers(0, 2**32)),
-            **{key: draw(_VALID[key]) for key in sorted(keys)}}
+    config = {"experiment": name, "seed": draw(st.integers(0, 2**32)),
+              **{key: draw(_VALID[key]) for key in sorted(keys)}}
+    if "M_list" in EXPERIMENTS[name][2]:  # every bilinear cell has N >= M
+        lists = {**EXPERIMENTS[name][2], **config}
+        assume(min(lists["N_list"]) >= max(lists["M_list"]))
+    return config
 
 
 @settings(max_examples=60, deadline=None,

@@ -384,13 +384,27 @@ def _reference_v_nodes(Vv, m0, cv, tg):
     return cand[peak > 1e-11 * peak.max()]
 
 
+def _reference_time_rule(T, N):
+    """Composite 8-node Gauss-Legendre on [0, T], 4 x finer than the rule the kernel
+    used before its time rule was sized to the windows: 32 max(8, 2N) ceil(T / pi)
+    nodes."""
+    g, w = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(0.0, T, 4 * max(8, 2 * N) * math.ceil(T / math.pi - 1e-12) + 1)
+    h = np.diff(edges) / 2.0
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    return (mid[:, None] + h[:, None] * g).ravel(), (h[:, None] * w).ravel()
+
+
 def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed, v_nodes=None,
                           cell_rule=False):
-    """The dense trial loop: both factors on every node, complex products.  When
-    `v_nodes` is a list, each axis's _reference_v_nodes is appended to it.  The nodes
-    are those of the basis's 2K+2 rule, or with `cell_rule` those of the Gauss rule of
-    top_u + top_v + 1 nodes sized to the cell's windows, tabled by full evaluation."""
-    tg, tw = lab._time_rule(T, N)
+    """The dense trial loop on _reference_time_rule: both factors with their full
+    phases e^{-i(2m+1)t}, complex products, on every node where v's envelope
+    sum_m |c_m| |h_m(x)| (which bounds |gv| at all t) is above 1e-12 of its peak,
+    in blocks of time nodes.  The nodes are those of the basis's 2K+2 rule, or with
+    `cell_rule` those of the Gauss rule of top_u + top_v + 1 nodes sized to the cell's
+    windows, tabled by full evaluation.  When `v_nodes` is a list, each axis's
+    _reference_v_nodes on the kernel's time nodes is appended to it."""
+    tg, tw = _reference_time_rule(T, N)
     K_draw = basis.K - max(word_a.order, word_b.order)
     pairs = []
     for trial in range(trials):
@@ -411,20 +425,22 @@ def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed, v_nod
         rule = basis.rule
         V = basis.values[: basis.K + 1]
     W = rule.weights
+    B = max(sum(c.size - 1 for _, c in u_axes + v_axes) for u_axes, v_axes in pairs)
     raws = []
     for u_axes, v_axes in pairs:
         prof = np.ones_like(tg)
         for (m0u, cu), (m0v, cv) in zip(u_axes, v_axes):
             if v_nodes is not None:
-                v_nodes.append(_reference_v_nodes(V[m0v:m0v + cv.size], m0v, cv, tg))
-            mv = np.arange(m0v, m0v + cv.size)
-            gv = V[m0v:m0v + cv.size].T @ (cv[:, None] * np.exp(-1j * np.outer(2 * mv + 1, tg)))
-            sup = np.abs(gv).max(axis=1) > 1e-11 * np.abs(gv).max()
-            mu = np.arange(m0u, m0u + cu.size)
-            gu = V[np.ix_(mu, np.flatnonzero(sup))].T @ (
-                cu[:, None] * np.exp(-1j * np.outer(2 * mu + 1, tg))
-            )
-            prof = prof * (W[sup] @ (np.abs(gu * gv[sup]) ** 2))
+                v_nodes.append(_reference_v_nodes(V[m0v:m0v + cv.size], m0v, cv,
+                                                  lab._time_rule(T, B)[0]))
+            mu, mv = np.arange(m0u, m0u + cu.size), np.arange(m0v, m0v + cv.size)
+            env = np.abs(cv) @ np.abs(V[mv])
+            x = np.flatnonzero(env > 1e-12 * env.max())
+            for s in range(0, tg.size, 1024):
+                t = tg[s:s + 1024]
+                gv = V[np.ix_(mv, x)].T @ (cv[:, None] * np.exp(-1j * np.outer(2 * mv + 1, t)))
+                gu = V[np.ix_(mu, x)].T @ (cu[:, None] * np.exp(-1j * np.outer(2 * mu + 1, t)))
+                prof[s:s + 1024] *= W[x] @ (np.abs(gu * gv) ** 2)
         raws.append(math.sqrt(float(np.sum(tw * prof))))
     return np.array(raws)
 
@@ -436,51 +452,84 @@ _WORDS = {
 }
 
 
+@pytest.mark.parametrize("T", [math.pi, 1.0, 7.0])
 @pytest.mark.parametrize(
     "d,word",
     [(d, word) for d in (1, 2, 3) for word in _WORDS if d >= 2 or word != "X1.GRAD2"],
 )
-def test_bilinear_kernel_matches_dense_reference(d, word):
-    # across rules: the kernel on the cell's rule against the dense loop on the basis's
-    # 2K+2 rule; with M = N the cell's rule comes close to 2K+1 nodes
+def test_bilinear_kernel_matches_dense_reference(d, word, T):
+    # across rules: the kernel on the cell's rules against the dense loop on the basis's
+    # 2K+2 rule and a fine Gauss-Legendre rule in time; with M = N the cell's rule comes
+    # close to 2K+1 nodes.  T = pi takes the B + 1 equal weights, T = 1 and 7 the
+    # 2B + 1 closed-form ones
     w = _WORDS[word]
     basis = HermiteBasis(1, bilinear_min_K(16, d) + w.order)
     for N in (4, 8, 16):
         for M in sorted({2, 4, N}):
-            got = derivative_bilinear_ratio(basis, d, w, w, N, M, math.pi, 2, 31)["raws"]
-            want = _dense_reference_raws(basis, d, w, w, N, M, math.pi, 2, 31)
+            got = derivative_bilinear_ratio(basis, d, w, w, N, M, T, 2, 31)["raws"]
+            want = _dense_reference_raws(basis, d, w, w, N, M, T, 2, 31)
             assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("word", ["identity", "GRAD1"])
-def test_bilinear_phase_table_matches_dense_reference_at_large_N(word, monkeypatch):
-    # at N = 64 the full phases (2m+1)t reach 2.5e4 rad; the kernel's e^{-2ijt} table
-    # must give the same raws and keep the very same support nodes of the cell's rule
+@pytest.mark.parametrize("d,word,T", [(2, "GRAD1", math.pi)] + [
+    (d, "identity", T) for d in (1, 2, 3) for T in (math.pi, 1.0, 7.0)])
+def test_bilinear_phase_table_matches_dense_reference_at_large_N(d, word, T, monkeypatch):
+    # at N = 64 the full phases (2m+1)t reach 2.5e4 rad per pi; the kernel's e^{-2ijt}
+    # table must give the same raws and keep the very same support nodes of the cell's rule
     w = _WORDS[word]
-    basis = HermiteBasis(1, bilinear_min_K(64) + w.order)
-    seen, v_support = [], lab._v_support
+    basis = HermiteBasis(1, bilinear_min_K(64, d) + w.order)
+    seen, cands, v_support, v_candidates = [], [], lab._v_support, lab._v_candidates
 
     def spy(*args):
         seen.append(v_support(*args))
         return seen[-1]
 
+    def spy_candidates(*args):
+        cands.append(v_candidates(*args))
+        return cands[-1]
+
     monkeypatch.setattr(lab, "_v_support", spy)
+    monkeypatch.setattr(lab, "_v_candidates", spy_candidates)
     for N in (32, 64):
         seen.clear()
+        cands.clear()
         want_nodes = []
-        got = derivative_bilinear_ratio(basis, 2, w, w, N, 2, math.pi, 1, 31)["raws"]
-        want = _dense_reference_raws(basis, 2, w, w, N, 2, math.pi, 1, 31, want_nodes,
-                                     cell_rule=True)
+        got = derivative_bilinear_ratio(basis, d, w, w, N, 2, T, 1, 31)["raws"]
+        want = _dense_reference_raws(basis, d, w, w, N, 2, T, 1, 31, want_nodes, cell_rule=True)
         assert_allclose(got, want, rtol=1e-13, atol=0)
-        assert len(seen) == len(want_nodes) == 2
+        assert len(seen) == len(want_nodes) == d
+        S = np.unique(np.concatenate(cands))  # the rule's nodes the kernel tables values on
         for (nodes, _), want_ax in zip(seen, want_nodes):
-            assert np.array_equal(nodes, want_ax)
+            assert np.array_equal(S[nodes], want_ax)
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(1, 4), d=st.integers(1, 3), N=st.sampled_from([1, 2, 4, 8]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_bilinear_raw_squared_adds_up_over_periods(k, d, N, seed):
+    # the draws pinned to those of T = pi (the hit time is drawn in (0.1 T, 0.9 T)):
+    # raw^2 at T = k pi is k times the T = pi value, on B + 1 equal weights, and so is
+    # raw^2(k pi + 1) - raw^2(1), on the 2B + 1 closed-form weights
+    basis, ident = HermiteBasis(1, bilinear_min_K(N, d)), PWord.identity()
+    draw = lab._draw_packet_pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lab, "_draw_packet_pair",
+                   lambda rng, d, N, M, T, K: draw(rng, d, N, M, math.pi, K))
+
+        def raw_sq(T):
+            out = derivative_bilinear_ratio(basis, d, ident, ident, N, min(N, 2), T, 2, seed)
+            return out["raws"] ** 2
+
+        once = raw_sq(math.pi)
+        assert_allclose(raw_sq(k * math.pi), k * once, rtol=1e-13, atol=0)
+        assert_allclose(raw_sq(k * math.pi + 1.0) - raw_sq(1.0), k * once, rtol=1e-13, atol=0)
 
 
 def test_bilinear_trial_memory_bounded():
     # one N = 64 trial at d = 2 once held Q x time-node complex arrays per axis
-    # (3910 x 1024, 64 MB each), 131.5 MiB in all on top of the tables; the cell's
-    # own rule and value table are counted here
+    # (3910 x 1024, 64 MB each), 131.5 MiB in all on top of the tables, and then a
+    # value table on all Q = 1813 nodes of the cell's rule (41 MiB in all); the values
+    # are now tabled only where v can reach (about 400 nodes), 21 MiB in all
     basis = HermiteBasis(1, bilinear_min_K(64))
     ident = PWord.identity()
     tracemalloc.start()
@@ -489,7 +538,7 @@ def test_bilinear_trial_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+    assert peak < 32 * 2 ** 20
 
 
 def test_derivative_bilinear_validates_inputs():
