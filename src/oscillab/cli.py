@@ -15,15 +15,16 @@ two files into the output directory:
   statistics and taint flags.
 
 A config is refused, naming the key, before any table is built (_resolve).  Its
-largest array is priced from the inputs; for the bilinear experiments that is the
-phase table, P time nodes by the widest window, both bounded from N, M and d; T
-enters only through whether it is a multiple of pi.
+largest array is priced from the inputs; for the bilinear experiments that is a
+cell's FFT buffer (support nodes by P time nodes) or its value table, bounded from N,
+M and d; T enters only through whether it is a multiple of pi.
 
 Determinism: all randomness derives from per-cell ``SeedSequence((seed, tags...))``
 streams and parallel cells are merged by index, so ``--threads`` (or the
 OSCILLAB_THREADS environment variable) never changes the output bytes.  The BLAS
-thread count can: identity_k1 runs no BLAS matrix product, but the bilinear experiments'
-GEMMs give bits that depend on it, and the solver experiments run GEMMs too.
+thread count might: identity_k1 runs no BLAS matrix product, the bilinear experiments
+take u's series by FFT but v's and the space sums through BLAS, and the solver
+experiments run GEMMs.
 
 Exit codes: 0 success, 1 error (bad config / runtime failure), 2 completed but
 tainted (e.g. solver spillage above tolerance).
@@ -231,15 +232,19 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
                           f"{_IDENTITY_EXHAUSTIVE_K_CAP}; use d >= 2 for sampled tuples")
     if dt is not None and T / dt > _MAX_STEPS:
         raise ConfigError("dt", f"T / dt = {T / dt:.3g} steps exceeds {_MAX_STEPS:.0e}")
-    if "M_list" in preset:  # bilinear: 1-D tables; a cell's phase table is the largest array
+    if "M_list" in preset:  # bilinear: 1-D tables; a cell's FFT buffer or value table is largest
         if min(N_list) < max(M_list):
             raise ConfigError("M_list", f"M_list must not exceed min(N_list) = {min(N_list)} "
                               f"(u carries the high frequency), got {M_list}")
         word_a = preset["K"].keywords["word_a"]  # the row's word on u; v's is empty
-        B = _bandwidth_bound(max(N_list), max(M_list), d, word_a.order)
-        nodes = _time_rule(T, B)[0].size  # a window is at most B + 1 modes wide
-        key, size = "N_list", nodes * (B + 1) * 16
-        what = f"a phase table of {nodes} time nodes x {B + 1} modes"
+        top = _bilinear_K(resolved, word_a)  # the highest degree of any window after its word
+        if K < top:
+            raise ConfigError("K", f"K = {K} is below {top}, the degree that holds every packet "
+                              "draw of N_list and M_list and its word")
+        P = _time_rule(T, _bandwidth_bound(max(N_list), max(M_list), d, word_a.order))[0].size
+        Q = top + bilinear_min_K(max(M_list), d) + 1  # bounds top_u + top_v + 1, the cell's rule
+        key, size = "N_list", 8 * Q * max(2 * P, top + 1)  # Q x P complex, or (top + 1) x Q
+        what = f"an FFT buffer of {Q} nodes x {P} times or a value table of {top + 1} x {Q}"
     elif cfg.experiment == "identity_k1":  # 1-D tables; 4 value and 3 derivative rows per tuple
         size = 8 * (K + HEADROOM + 1) * (2 * K + 2) + 8 * 7 * _TUPLE_BLOCK * (K + 1)
         key, what = "K", (f"a {K + HEADROOM + 1} x {2 * K + 2} value table and a gather of "

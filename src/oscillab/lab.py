@@ -23,9 +23,10 @@ odd.
 The bilinear measurements tensorize per axis, and each cell integrates on its own
 Gauss rule, sized to the highest degrees of its windows.  The flow is pi-periodic up
 to a phase, so in time each cell integrates exactly, for any T, on equispaced nodes
-in [0, pi): B + 1 at a multiple of pi and 2B + 1 else, B its windows' bandwidth.
-The kernel bounds v's support from the coefficients alone, tables values only there,
-and runs the real-table products as real GEMMs on the interleaved complex data.
+in [0, pi): at least B + 1 at a multiple of pi and 2B + 1 else, B its windows'
+bandwidth, P rounded up to a length with no prime factor above 11.  The kernel bounds
+v's support from the coefficients alone and tables values only there; on those nodes
+u's time series is one FFT per node, and v's a real GEMM on the interleaved data.
 
 Every ladder letter here -- the identity's 1-D derivative table and the words on the
 bilinear factors -- goes through the one kernel of operators (operators._letter_image);
@@ -353,12 +354,21 @@ def _draw_packet_pair(rng, d: int, N: int, M: int, T: float, K_cap: int):
     return u_axes, v_axes
 
 
+def _fft_length(n: int) -> int:
+    """Smallest m >= n with no prime factor above 11, a fast length for np.fft (a large
+    prime factor sends it to Bluestein's algorithm)."""
+    while pow(2310, n.bit_length(), n):  # n | (2 3 5 7 11)^e, e >= every exponent of n
+        n += 1
+    return n
+
+
 def _time_rule(T: float, B: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t_k = pi k / P on [0, pi) and weights (T + 2 Re sum_{n=1..B} I_n e^{2int_k}) / P,
     I_n = (1 - e^{-2inT}) / (2in), that integrate every e^{2int}, |n| <= B, exactly over
-    [0, T]: P = 2B + 1, or B + 1 when T is the float k pi and every I_n is 0."""
+    [0, T]: P = _fft_length(2B + 1), or _fft_length(B + 1) when T is the float k pi and
+    every I_n is 0 (equal weights are exact for every |n| <= P - 1)."""
     periodic = round(T / math.pi) * math.pi == T
-    P = B + 1 if periodic else 2 * B + 1
+    P = _fft_length(B + 1 if periodic else 2 * B + 1)
     n = np.arange(1, 1 if periodic else B + 1)
     I_n = np.r_[0.0, (1.0 - np.exp(-2j * n * T)) / (2j * n)]
     return math.pi * np.arange(P) / P, (T + 2.0 * P * np.fft.ifft(I_n, P).real) / P
@@ -372,14 +382,6 @@ def _bandwidth_bound(N: int, M: int, d: int, order: int) -> int:
                      + 12 * d + 2 * order)
 
 
-def _time_series(c: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """c_j e^{-2ijt} on the time nodes, as real (modes, 2 * times) with the real and
-    imaginary parts interleaved: a real table times it is a real GEMM.  Mode m0 + j
-    evolves as e^{-i(2(m0 + j) + 1)t}; the factor e^{-i(2 m0 + 1)t} is common to the
-    window and has modulus 1, so it drops out of every modulus the kernel takes."""
-    return (c[:, None] * phases[:c.size]).view(float)
-
-
 def _v_candidates(Vv: np.ndarray, cv: np.ndarray) -> np.ndarray:
     """Nodes where v may reach 1e-11 of its peak: |gv(x, t)| <= sum_m |c_m| |h_m(x)| at
     every t, and max |gv| >= max_x |gv(x, 0)| (half the floor covers roundoff)."""
@@ -389,8 +391,9 @@ def _v_candidates(Vv: np.ndarray, cv: np.ndarray) -> np.ndarray:
 
 def _v_support(Vv: np.ndarray, cols: np.ndarray, cv: np.ndarray, phases: np.ndarray):
     """(columns, |gv|^2 there): v's support among the candidate columns `cols` of its
-    rows Vv, cut at 1e-11 of its peak amplitude."""
-    abs_gv = np.abs((Vv[:, cols].T @ _time_series(cv, phases)).view(complex))
+    rows Vv, cut at 1e-11 of its peak amplitude.  The series is a real GEMM of Vv by
+    c_j e^{-2ijt} with real and imaginary parts interleaved."""
+    abs_gv = np.abs((Vv[:, cols].T @ (cv[:, None] * phases[:cv.size]).view(float)).view(complex))
     peak = abs_gv.max(axis=1)
     sup = peak > 1e-11 * peak.max()
     gv_sq = abs_gv[sup]
@@ -432,9 +435,11 @@ def derivative_bilinear_ratio(
     Q = top_u + top_v + 1 nodes integrates it exactly; values are tabled only on the
     nodes v can reach (_v_candidates).  In time it is a trigonometric polynomial in
     e^{2it} of bandwidth sum_axes (w_u - 1) + (w_v - 1), w the window widths, and the
-    largest over the trials, B, sizes the exact time rule.  Only |gu| and |gv| enter,
-    so each window's common phase drops out (_time_series): one table e^{-2ijt} as
-    wide as the widest window serves every trial and axis.
+    largest over the trials, B, sizes the exact time rule.  Mode m0 + j evolves as
+    e^{-i(2(m0 + j) + 1)t}, and only |gu| and |gv| enter, so each window's common
+    factor e^{-i(2 m0 + 1)t} drops out.  On t_k = pi k / P, u's series
+    sum_j c_j h_{m0+j}(x) e^{-2ijt_k} is then a length-P DFT over j, one FFT per support
+    node; v's is a GEMM with one table e^{-2ijt} as wide as v's widest window.
     """
     if basis.d != 1:
         raise ValueError("pass a 1-D axis basis; tensor packets factorize per axis")
@@ -470,7 +475,7 @@ def derivative_bilinear_ratio(
     S = np.unique(np.concatenate([cand for axes in cands for cand in axes]))
     del Vv  # freed before the table on S, which may be as large at M = N
     V, W = hermite_values_1d(max(top_u, top_v), rule.nodes[S]), rule.weights[S]
-    width = max(c.size for u_axes, v_axes in pairs for _, c in u_axes + v_axes)
+    width = max(c.size for _, v_axes in pairs for _, c in v_axes)
     B = max(sum(c.size - 1 for _, c in u_axes + v_axes) for u_axes, v_axes in pairs)
     tg, tw = _time_rule(T, B)
     phases = np.exp(-2j * np.outer(np.arange(width), tg))  # one table for the cell
@@ -480,11 +485,11 @@ def derivative_bilinear_ratio(
         for (m0u, cu), (m0v, cv), cand in zip(u_axes, v_axes, cand_axes):
             cols = np.searchsorted(S, cand)  # columns of V
             nodes, gv_sq = _v_support(V[m0v:m0v + cv.size], cols, cv, phases)  # gu gv = 0 off it
-            gu = V[m0u:m0u + cu.size][:, nodes].T @ _time_series(cu, phases)
+            gu = np.zeros((nodes.size, tg.size), dtype=complex)  # P >= B + 1 >= cu.size
+            np.multiply(V[m0u:m0u + cu.size, nodes].T, cu, out=gu[:, :cu.size])
+            gu = np.fft.fft(gu, axis=1, out=gu).view(float)
             np.square(gu, out=gu)  # the tail runs in place: |gu|^2 |gv|^2 in gv_sq
-            abs_sq_gu = gu[:, 0::2]
-            abs_sq_gu += gu[:, 1::2]
-            gv_sq *= abs_sq_gu
+            gv_sq *= np.add(gu[:, 0::2], gu[:, 1::2], out=gu[:, 0::2])
             prof = prof * (W[nodes] @ gv_sq)
         raws[trial] = math.sqrt(float(np.sum(tw * prof)))
     normalization = (float(N) ** word_a.order * float(M) ** word_b.order

@@ -213,6 +213,8 @@ def _refuse_to_drive(monkeypatch):
     ("experiment = identity_k1\nd = 2\nK = 4393\n", "K"),  # over the basis's hard cap
     ("experiment = bernstein\nN_list = [128]\n", "K"),  # the derived K = 16383, likewise
     ("experiment = bilinear\nN_list = [4, 8]\nM_list = [8]\n", "M_list"),  # the cell N=4, M=8
+    ("experiment = bilinear\nK = 10\nN_list = [4]\n", "K"),  # the draws need K >= 24
+    ("experiment = bilinear_derivative\nK = 10\nN_list = [4]\n", "K"),  # and the word one more
 ])
 def test_run_time_failures_refused_up_front(tmp_path, capsys, monkeypatch, command, text, key):
     _refuse_to_drive(monkeypatch)
@@ -271,20 +273,29 @@ def test_validate_resolves_the_K_that_run_uses(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("experiment", ["bilinear", "bilinear_derivative"])
 @pytest.mark.parametrize("d,T", [(d, T) for d in (1, 2, 3) for T in (math.pi, 7.0)])
-def test_bilinear_price_bounds_the_phase_table(tmp_path, monkeypatch, experiment, d, T):
-    # the kernel's phase table (widest window x P) of every cell, then the price: a bound
-    # one byte below the largest table must refuse the config on N_list
-    tables, v_support = [], lab._v_support
+def test_bilinear_price_bounds_the_kernel_arrays(tmp_path, monkeypatch, experiment, d, T):
+    # the kernel's large arrays in every cell: u's FFT buffer (support nodes x P), the
+    # value table, v's phase table and v's GEMM product (candidate nodes x P); then the
+    # price: a bound one byte below the largest must refuse the config on N_list
+    sizes = []
 
-    def spy(Vv, cols, cv, phases):
-        tables.append(phases.nbytes)
-        return v_support(Vv, cols, cv, phases)
+    def spy(fn, nbytes):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            sizes.append(nbytes(args, out))
+            return out
+        return wrapped
 
-    monkeypatch.setattr(lab, "_v_support", spy)
+    monkeypatch.setattr(np.fft, "fft", spy(np.fft.fft, lambda args, out: out.nbytes))
+    monkeypatch.setattr(lab, "hermite_values_1d",
+                        spy(lab.hermite_values_1d, lambda args, out: out.nbytes))
+    monkeypatch.setattr(lab, "_v_support", spy(lab._v_support, lambda args, out: max(
+        args[3].nbytes, 16 * args[1].size * args[3].shape[1])))
     text = (f"experiment = {experiment}\nd = {d}\nT = {T!r}\nN_list = [4, 8, 16]\n"
             "M_list = [2, 4]\ntrials = 4\nseed = 3\n")
     assert main(["run", _write(tmp_path, text), "--output-dir", str(tmp_path / "out")]) == 0
-    monkeypatch.setattr(cli, "_MAX_ARRAY_BYTES", max(tables) - 1)
+    assert len(sizes) > 3 * d
+    monkeypatch.setattr(cli, "_MAX_ARRAY_BYTES", max(sizes) - 1)
     with pytest.raises(ConfigError) as refused:
         cli._resolve(parse_config(text))
     assert refused.value.key == "N_list"
@@ -329,6 +340,8 @@ def _row_config(draw):
     if "M_list" in EXPERIMENTS[name][2]:  # every bilinear cell has N >= M
         lists = {**EXPERIMENTS[name][2], **config}
         assume(min(lists["N_list"]) >= max(lists["M_list"]))
+        if "K" in config:  # and a K that holds its draws: the drawn K counts up from it
+            config["K"] += EXPERIMENTS[name][2]["K"](lists) - 1
     return config
 
 

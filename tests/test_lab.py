@@ -525,6 +525,101 @@ def test_bilinear_raw_squared_adds_up_over_periods(k, d, N, seed):
         assert_allclose(raw_sq(k * math.pi + 1.0) - raw_sq(1.0), k * once, rtol=1e-13, atol=0)
 
 
+def _is_11_smooth(m):
+    for p in (2, 3, 5, 7, 11):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10 ** 5))
+def test_time_rule_length_is_the_next_fft_length(n):
+    # the smallest m >= n with no prime factor above 11, by trial division; the time
+    # rule takes it for n = B + 1 at a multiple of pi and for n = 2B + 1 at any other T
+    m = lab._fft_length(n)
+    assert m >= n and _is_11_smooth(m)
+    assert not any(map(_is_11_smooth, range(n, m)))
+    assert lab._time_rule(math.pi, n - 1)[0].size == m
+    if n % 2:
+        assert lab._time_rule(1.0, n // 2)[0].size == m
+
+
+@settings(max_examples=40, deadline=None)
+@given(B=st.integers(0, 400), k=st.integers(1, 4), T=st.floats(0.05, 12.0))
+def test_time_rule_is_exact_to_the_bandwidth(B, k, T):
+    # every e^{2int}, |n| <= B, integrates exactly over [0, T], on the equal weights at
+    # T = k pi and on the closed-form ones at any other T
+    n = np.arange(-B, B + 1)
+    for T in (k * math.pi, T):
+        tg, tw = lab._time_rule(T, B)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.where(n == 0, T, (np.exp(2j * n * T) - 1.0) / (2j * n))
+        assert_allclose(np.exp(2j * np.outer(n, tg)) @ tw, want, rtol=0, atol=1e-13 * T)
+
+
+def _gemm_series_raws(basis, d, word, N, M, T, trials, seed):
+    """The kernel's raws with u's time series, like v's, a real GEMM of the value table
+    by c_j e^{-2ijt_k}, as before the FFT: the same draws, every node of the cell's
+    Gauss rule (the kernel's support is a subset) and lab._time_rule's nodes and weights
+    for the draws' bandwidth.  The word acts on u."""
+    pairs = []
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, N, M, trial)))
+        u_axes, v_axes = lab._draw_packet_pair(rng, d, N, M, T, basis.K - word.order)
+        for letter, ax in word.letters:
+            u_axes[ax - 1] = _reference_ladder_window(*u_axes[ax - 1], letter)
+        pairs.append((u_axes, v_axes))
+    top_u = max(m0 + c.size - 1 for u_axes, _ in pairs for m0, c in u_axes)
+    top_v = max(m0 + c.size - 1 for _, v_axes in pairs for m0, c in v_axes)
+    rule = gauss_hermite_rule(top_u + top_v + 1, 2)
+    V = hermite_values_1d(max(top_u, top_v), rule.nodes)
+    tg, tw = lab._time_rule(T, max(sum(c.size - 1 for _, c in u_axes + v_axes)
+                                   for u_axes, v_axes in pairs))
+
+    def abs_sq(m0, c):
+        series = (c[:, None] * np.exp(-2j * np.outer(np.arange(c.size), tg))).view(float)
+        return np.abs((V[m0:m0 + c.size].T @ series).view(complex)) ** 2
+
+    raws = []
+    for u_axes, v_axes in pairs:
+        prof = np.ones_like(tg)
+        for (m0u, cu), (m0v, cv) in zip(u_axes, v_axes):
+            prof *= rule.weights @ (abs_sq(m0u, cu) * abs_sq(m0v, cv))
+        raws.append(math.sqrt(float(np.sum(tw * prof))))
+    return np.array(raws)
+
+
+@pytest.mark.parametrize("T", [math.pi, 7.0])
+@pytest.mark.parametrize("d,word,N,trials", [
+    (1, "identity", 64, 1), (2, "identity", 64, 1), (2, "GRAD1", 16, 3), (3, "X1.GRAD2", 16, 2)])
+def test_bilinear_fft_series_matches_gemm_reference(d, word, N, trials, T):
+    # u's series by one FFT per support node against the GEMM on the same nodes
+    w = _WORDS[word]
+    basis = HermiteBasis(1, bilinear_min_K(N, d) + w.order)
+    got = derivative_bilinear_ratio(basis, d, w, PWord.identity(), N, 2, T, trials, 5)["raws"]
+    want = _gemm_series_raws(basis, d, w, N, 2, T, trials, 5)
+    assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_bilinear_cell_memory_bounded():
+    # one N = 64, d = 2 cell of 4 trials at seed 1 peaks at 14.7 MiB: the value table on
+    # the 362 candidate nodes (3.8 MiB), and per axis the FFT buffer on the <= 358
+    # support nodes x P = 660 (3.6 MiB) and |gv|^2 there (1.8 MiB), with the previous
+    # axis's pair not yet released.  The GEMM kernel peaked at 20.7 MiB: it also held a
+    # phase table as wide as u's window and u's c_j e^{-2ijt} matrix, about 3 MiB each.
+    # 17 MiB leaves room for allocator detail, not for those two tables
+    basis = HermiteBasis(1, bilinear_min_K(64))
+    ident = PWord.identity()
+    tracemalloc.start()
+    try:
+        derivative_bilinear_ratio(basis, 2, ident, ident, 64, 2, math.pi, 4, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * 2 ** 20
+
+
 def test_bilinear_trial_memory_bounded():
     # one N = 64 trial at d = 2 once held Q x time-node complex arrays per axis
     # (3910 x 1024, 64 MB each), 131.5 MiB in all on top of the tables, and then a
