@@ -1,15 +1,17 @@
 """Every preset's output on a commit and on the working tree, compared byte for byte.
 
-    python3 scripts/preset_bytes.py --base HEAD~1
+    python3 scripts/preset_bytes.py --base HEAD~1 [--config scripts/configs/*.cfg]
 
 Exports --base with `git archive` into a temporary directory (as
 scripts/bench_pairs.py does) and runs every experiment that the working tree's
 `oscillab list-experiments` names at its preset, on both trees:
 `oscillab run` with only `experiment` and `seed = 20260814`, `--threads 1` and
-OpenBLAS on one thread, into the default output directory.  Prints per preset
-whether results.csv is byte-identical and whether the manifest's resolved_config,
-defaults_applied and derived blocks are equal; exits 1 on any difference.  A run
-that fails or whose exit code differs counts as a difference.  Where results.csv
+OpenBLAS on one thread, into the output directory `out`.  Each --config FILE
+is run the same way as written, after the presets; scripts/configs/ holds the
+configs of README's Determinism section.  Prints per run whether results.csv is
+byte-identical and whether the manifest's resolved_config, defaults_applied and
+derived blocks are equal; exits 1 on any difference.  A run that fails or whose
+exit code differs counts as a difference.  Where results.csv
 differs, prints per column the cells that differ and, over its numeric cells, the
 largest absolute move and the largest relative move off nonzero base cells.
 """
@@ -37,12 +39,12 @@ def oscillab(tree: Path, cwd: Path, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def run_preset(tree: Path, cwd: Path, experiment: str):
-    """(exit code, results.csv bytes, the manifest's BLOCKS) of one preset run."""
+def run_config(tree: Path, cwd: Path, text: str):
+    """(exit code, results.csv bytes, the manifest's BLOCKS) of one run of a config."""
     cwd.mkdir(parents=True, exist_ok=True)
-    (cwd / "preset.cfg").write_text(f"experiment = {experiment}\nseed = {SEED}\n", encoding="utf-8")
-    rc = oscillab(tree, cwd, "run", "preset.cfg", "--threads", "1").returncode
-    out = cwd / "runs" / experiment
+    (cwd / "run.cfg").write_text(text, encoding="utf-8")
+    rc = oscillab(tree, cwd, "run", "run.cfg", "--threads", "1", "--output-dir", "out").returncode
+    out = cwd / "out"  # relative, so resolved_config is the same on both trees
     if rc not in (0, 2):
         return rc, None, None
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
@@ -76,18 +78,22 @@ def column_moves(base: bytes, change: bytes) -> list[str]:
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="commit to compare the working tree against")
+    p.add_argument("--config", action="extend", nargs="+", default=[], type=Path, metavar="FILE",
+                   help="config files to compare as well (repeatable)")
     args = p.parse_args()
     listing = oscillab(ROOT, ROOT, "list-experiments")
     listing.check_returncode()
-    experiments = [line.split(":", 1)[0] for line in listing.stdout.splitlines()]
+    presets = [line.split(":", 1)[0] for line in listing.stdout.splitlines()]
+    runs = [(name, f"experiment = {name}\nseed = {SEED}\n") for name in presets]
+    runs += [(str(path), path.read_text(encoding="utf-8")) for path in args.config]
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
         sha = export_rev(args.base, base)
-        print(f"base {sha}, seed {SEED}")
-        for name in experiments:
+        print(f"base {sha}, preset seed {SEED}")
+        for i, (name, text) in enumerate(runs):
             (rc_b, csv_b, man_b), (rc_c, csv_c, man_c) = (
-                run_preset(tree, Path(tmp) / side / name, name)
+                run_config(tree, Path(tmp) / side / str(i), text)
                 for side, tree in (("base", base), ("change", ROOT)))
             same_csv = rc_b == rc_c and csv_b is not None and csv_b == csv_c
             same_man = rc_b == rc_c and man_b is not None and man_b == man_c
@@ -97,7 +103,7 @@ def main() -> None:
             if csv_b is not None and csv_c is not None and not same_csv:
                 print("\n".join(column_moves(csv_b, csv_c)))
     if differ:
-        sys.exit(f"error: {differ} of {len(experiments)} presets differ")
+        sys.exit(f"error: {differ} of {len(runs)} runs differ")
 
 
 if __name__ == "__main__":

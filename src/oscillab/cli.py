@@ -12,7 +12,8 @@ two files into the output directory:
   text byte-identically, plus the fully resolved configuration (every applied
   default), derived parameters (quadrature sizes, such as each bilinear cell's space
   and time rules Q and P, windows, delta, ...), package version, wall time, summary
-  statistics and taint flags.
+  statistics (for the bilinear experiments also each cell's seconds by stage, kept
+  out of ``derived``) and taint flags.
 
 A config is refused, naming the key, before any table is built (_resolve).  Its
 largest array is priced from the inputs; for the bilinear experiments that is a
@@ -461,7 +462,8 @@ def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
             entry["raw_fit"] = _fit_summary(fit)
             entry["ratio_top_over_prev"] = ratio_max[Ns[-1]] / ratio_max[Ns[-2]]
         per_M[str(M)] = entry
-    summary = {"per_M": per_M, "word_a": _word_label(word_a), "word_b": _word_label(word_b)}
+    summary = {"per_M": per_M, "word_a": _word_label(word_a), "word_b": _word_label(word_b),
+               "seconds_by_cell": {f"N={N},M={M}": by_cell[(N, M)]["seconds"] for N, M in cells}}
     derived = {"K": K, "K_needed": _bilinear_K(resolved, word_a),
                **{f"{key}_by_cell": {f"N={N},M={M}": by_cell[(N, M)][key] for N, M in cells}
                   for key in ("normalization", "Q", "P")}}

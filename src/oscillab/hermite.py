@@ -90,14 +90,15 @@ def eigenvalue_box(d: int, n: int) -> np.ndarray:
 def _hermite_rows(K_eval: int, x: np.ndarray, start: int = 0):
     """Yield the rows h_start(x), ..., h_{K_eval}(x) of the renormalized recurrence.
 
-    Runs the three-term recurrence on the envelope-free polynomials with a per-node
-    power-of-two counter and rebuilds each row with ldexp.  Plain evaluation dies for
-    large rules: e^{-x^2/2} underflows in the classically forbidden region and the
-    recurrence can then never climb back to the O(1) oscillatory values.  The counter
-    scheme is exact (power-of-two scaling only) and keeps every representable value.
-    Every operation is odd or even in x, so mirrored nodes give rows that are exactly
-    (-1)^k times each other.  Rows below `start` are run through the recurrence
-    but never rebuilt.
+    Runs the three-term recurrence on the envelope-free polynomials, in preallocated
+    buffers, with a per-node power-of-two exponent (changed only when a renormalization
+    fires) and rebuilds each row with ldexp into a fresh array.  Plain evaluation dies
+    for large rules: e^{-x^2/2} underflows in the classically forbidden region and the
+    recurrence can then never climb back to the O(1) oscillatory values.  The scheme is
+    exact (power-of-two scaling only) and keeps every representable value.  Every
+    operation is odd or even in x, so mirrored nodes give rows that are exactly (-1)^k
+    times each other, and a node's rows depend on that node alone.  Rows below `start`
+    are run through the recurrence but never rebuilt.
     """
     # envelope e^{-x^2/2} pi^{-1/4} = 2^kappa * ebar with ebar in [1, 2)
     a = (-0.5 * x * x - 0.25 * math.log(math.pi)) * _LOG2E
@@ -105,23 +106,40 @@ def _hermite_rows(K_eval: int, x: np.ndarray, start: int = 0):
     ebar = np.exp2(a - kappa)
     # int32 exponents put ldexp on its fast loop; the clip only touches |x| > 3e4,
     # where every h_k underflows to 0.0 either way
-    kap_i = np.maximum(kappa, -2.0 ** 30).astype(np.int32)
-    cnt = np.zeros(x.size, dtype=np.int32)
-    p_prev, p_cur = np.zeros_like(x), np.ones_like(x)
+    expo = np.maximum(kappa, -2.0 ** 30).astype(np.int32)
+    p_prev, p_cur, buf = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
     if start <= 0:
-        yield np.ldexp(ebar, kap_i)
+        yield np.ldexp(ebar, expo)
     for k in range(K_eval):
-        p_prev, p_cur = p_cur, x * math.sqrt(2.0 / (k + 1)) * p_cur \
-            - math.sqrt(k / (k + 1.0)) * p_prev
-        if k % _RENORM_EVERY == 0:
-            big = np.abs(p_cur) > _RENORM_THRESHOLD
-            if big.any():
-                scale = np.where(big, 2.0 ** -_RENORM_SHIFT, 1.0)
-                p_prev = p_prev * scale
-                p_cur = p_cur * scale
-                cnt += np.where(big, _RENORM_SHIFT, 0)
+        # p_prev <- x sqrt(2/(k+1)) p_cur - sqrt(k/(k+1)) p_prev, then the two swap roles
+        np.multiply(x, math.sqrt(2.0 / (k + 1)), out=buf)
+        buf *= p_cur
+        p_prev *= math.sqrt(k / (k + 1.0))
+        np.subtract(buf, p_prev, out=p_prev)
+        p_prev, p_cur = p_cur, p_prev
+        # fmax passes over the NaN of an overflowed |x| as the per-node test does
+        if k % _RENORM_EVERY == 0 and np.fmax.reduce(
+                np.abs(p_cur, out=buf), initial=0.0) > _RENORM_THRESHOLD:
+            big = buf > _RENORM_THRESHOLD
+            p_prev[big] *= 2.0 ** -_RENORM_SHIFT
+            p_cur[big] *= 2.0 ** -_RENORM_SHIFT
+            expo[big] += _RENORM_SHIFT
         if k >= start - 1:
-            yield np.ldexp(p_cur * ebar, kap_i + cnt)
+            yield np.ldexp(np.multiply(p_cur, ebar, out=buf), expo)
+
+
+def _sweep(Q: int, half: np.ndarray, x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """One recurrence pass over the abscissae `half` and `x` together: writes h_k(x),
+    k < len(table), into `table`; returns the compensated weights 1 / sum_{k<Q} h_k^2
+    at `half`, bit for bit as separate passes give them."""
+    n = half.size
+    sumsq = np.zeros(n)
+    for k, row in enumerate(_hermite_rows(max(Q, len(table)) - 1, np.concatenate([half, x]))):
+        if k < Q:
+            sumsq += np.square(row[:n], out=row[:n])
+        if k < len(table):
+            table[k] = row[n:]
+    return 1.0 / sumsq
 
 
 def hermite_values_1d(K_eval: int, nodes) -> np.ndarray:
@@ -133,23 +151,21 @@ def hermite_values_1d(K_eval: int, nodes) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError("nodes must be a 1-D array")
     out = np.empty((K_eval + 1, x.size))
-    for k, row in enumerate(_hermite_rows(K_eval, x)):
-        out[k] = row
+    _sweep(0, x[:0], x, out)
     return out
 
 
-def _mirrored_values(K_eval: int, rule: "QuadratureRule") -> np.ndarray:
-    """hermite_values_1d on the rule's nodes, evaluated on the nonnegative half only.
+def _mirrored_values(K_eval: int, nodes: np.ndarray) -> np.ndarray:
+    """hermite_values_1d on a rule's nodes, evaluated on the nonnegative half only.
 
     The rule's nodes mirror exactly and h_k(-x) = (-1)^k h_k(x) holds bitwise for
     the recurrence, so the mirrored half equals full evaluation bit for bit.  Rows are
     written straight into the table: no half table is held beside it.
     """
-    Q = rule.size
+    Q = nodes.size
     lo = Q // 2  # index of the first nonnegative node
     out = np.empty((K_eval + 1, Q))
-    for k, row in enumerate(_hermite_rows(K_eval, rule.nodes[lo:])):
-        out[k, lo:] = row
+    _sweep(0, nodes[:0], nodes[lo:], out[:, lo:])
     sign = (-1.0) ** np.arange(K_eval + 1)
     np.multiply(out[:, lo + Q % 2:][:, ::-1], sign[:, None], out=out[:, :lo])
     return out
@@ -185,23 +201,17 @@ class QuadratureRule:
         return out
 
 
-def gauss_hermite_rule(Q: int, w: int = 2) -> QuadratureRule:
-    """Q-node Gauss rule for integrands polynomial * e^{-w y^2}, w in {1, 2}.
+def _rule_nodes(Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(half, nodes): the nonnegative nodes of the Q-node w = 1 Gauss rule, ascending
+    with odd Q's exact 0.0 first, and all Q nodes, the negative half its mirror image.
 
     The w = 1 nodes are the roots of h_Q, i.e. the eigenvalues of the Jacobi matrix
     T (zero diagonal, off-diagonal sqrt(k/2)).  T^2 couples only indices of equal
     parity, and its even-index block, a ceil(Q/2)-size tridiagonal matrix, has the
     squares of the nonnegative roots as eigenvalues (Golub & Welsch, Math. Comp. 23,
     1969).  Those nodes get one Newton step on h_Q, using h_Q' = sqrt(2Q) h_{Q-1} -
-    x h_Q, and compensated weights 1 / sum_{k<Q} h_k^2 (see QuadratureRule), both on
-    the nonnegative half only.  Odd Q keeps an exact 0.0 node.  The negative half is
-    the mirror image, so nodes are exactly antisymmetric and weights exactly
-    symmetric.  The w = 2 rule is the substitution y -> y / sqrt(2) of the w = 1 rule.
+    x h_Q.  Odd Q keeps an exact 0.0 node, and nodes are exactly antisymmetric.
     """
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
-    if w not in (1, 2):
-        raise ValueError("w must be 1 or 2")
     odd = Q % 2
     # T^2 at even indices i: diagonal b_i^2 + b_{i+1}^2, off-diagonal b_{i+1} b_{i+2},
     # with b_k^2 = k/2 for 0 < k < Q and b_0 = b_Q = 0
@@ -218,15 +228,35 @@ def gauss_hermite_rule(Q: int, w: int = 2) -> QuadratureRule:
     h_prev, h_top = _hermite_rows(Q, pos, start=Q - 1)
     pos = pos - h_top / (math.sqrt(2.0 * Q) * h_prev - pos * h_top)
     half = np.concatenate([np.zeros(odd), pos])
-    sumsq = np.zeros_like(half)
-    for row in _hermite_rows(Q - 1, half):  # streamed: O(Q) memory
-        sumsq += row * row
-    w_half = 1.0 / sumsq
-    nodes = np.concatenate([-pos[::-1], half])
-    weights = np.concatenate([w_half[odd:][::-1], w_half])
-    if w == 2:
-        return QuadratureRule(nodes / math.sqrt(2.0), weights / math.sqrt(2.0), 2)
-    return QuadratureRule(nodes, weights, 1)
+    return half, np.concatenate([-pos[::-1], half])
+
+
+def gauss_hermite_rule(Q: int, w: int = 2) -> QuadratureRule:
+    """Q-node Gauss rule for integrands polynomial * e^{-w y^2}, w in {1, 2}: the nodes
+    of _rule_nodes and their compensated weights 1 / sum_{k<Q} h_k^2 (see
+    QuadratureRule), by one _sweep on the nonnegative half and mirrored, so weights are
+    exactly symmetric.  The w = 2 rule is the substitution y -> y / sqrt(2) of the
+    w = 1 rule; _rule_columns gives its weights and values on some nodes alone."""
+    if Q < 1:
+        raise ValueError("Q must be >= 1")
+    if w not in (1, 2):
+        raise ValueError("w must be 1 or 2")
+    half, nodes = _rule_nodes(Q)
+    w_half = _sweep(Q, half, half[:0], np.empty((0, 0)))
+    weights = np.concatenate([w_half[Q % 2:][::-1], w_half])
+    scale = math.sqrt(2.0) if w == 2 else 1.0  # x / 1.0 is x, bit for bit
+    return QuadratureRule(nodes / scale, weights / scale, w)
+
+
+def _rule_columns(half: np.ndarray, nodes: np.ndarray, cols: np.ndarray,
+                  K_eval: int) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, values) of the w = 2 rule gauss_hermite_rule(Q, 2) at its columns
+    `cols`, bit for bit, from (half, nodes) = _rule_nodes(Q) alone: one _sweep over
+    the columns' w = 2 nodes and their distinct mirrors half[|2 i - (Q - 1)| // 2]."""
+    mirror, inv = np.unique(np.abs(2 * cols - (nodes.size - 1)) // 2, return_inverse=True)
+    table = np.empty((K_eval + 1, cols.size))
+    w_half = _sweep(nodes.size, half[mirror], nodes[cols] / math.sqrt(2.0), table)
+    return w_half[inv] / math.sqrt(2.0), table
 
 
 @dataclass
@@ -266,7 +296,7 @@ class HermiteBasis:
     @cached_property
     def values(self) -> np.ndarray:
         """(K_eval+1, Q) table of 1-D Hermite function values on the rule nodes."""
-        return _mirrored_values(self.K_eval, self.rule)
+        return _mirrored_values(self.K_eval, self.rule.nodes)
 
     @cached_property
     def companion_rule(self) -> QuadratureRule:
@@ -275,7 +305,7 @@ class HermiteBasis:
 
     @cached_property
     def companion_values(self) -> np.ndarray:
-        return _mirrored_values(self.K_eval, self.companion_rule)
+        return _mirrored_values(self.K_eval, self.companion_rule.nodes)
 
     @cached_property
     def lambda_sq(self) -> np.ndarray:

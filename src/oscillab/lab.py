@@ -36,13 +36,14 @@ lab holds no ladder coefficient of its own.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
 
-from .hermite import (HermiteBasis, MultiIndex, SpectralField, _mirrored_values, galerkin_project,
-                      gauss_hermite_rule, hermite_values_1d, synthesize)
+from .hermite import (HermiteBasis, MultiIndex, SpectralField, _mirrored_values, _rule_columns,
+                      _rule_nodes, galerkin_project, synthesize)
 from .operators import IOperatorSpec, PWord, _letter_image, i_multiplier, sobolev_norm
 from .solver import SolverConfig, energy, run_recorded
 
@@ -396,8 +397,9 @@ def _v_support(Vv: np.ndarray, cols: np.ndarray, cv: np.ndarray, phases: np.ndar
     abs_gv = np.abs((Vv[:, cols].T @ (cv[:, None] * phases[:cv.size]).view(float)).view(complex))
     peak = abs_gv.max(axis=1)
     sup = peak > 1e-11 * peak.max()
-    gv_sq = abs_gv[sup]
-    return cols[sup], np.square(gv_sq, out=gv_sq)
+    if not sup.all():
+        abs_gv, cols = abs_gv[sup], cols[sup]
+    return cols, np.square(abs_gv, out=abs_gv)
 
 
 def bilinear_min_K(N: int, d: int = 2) -> int:
@@ -426,16 +428,17 @@ def derivative_bilinear_ratio(
 
     `basis` is a 1-D axis basis (packets tensorize, so all grid work is 1-D) and
     supplies only its degree: basis.K >= bilinear_min_K(max(N, M), d) caps the draws.
-    Returns per-trial raw norms and ratios plus their max, and the cell's rule sizes
-    Q (space) and P (time).
+    Returns per-trial raw norms and ratios plus their max, the cell's rule sizes
+    Q (space) and P (time), and its seconds in nodes, sweep and kernel.
 
     The trials are drawn first.  Per axis the integrand |gu|^2 |gv|^2 is a polynomial
     of degree <= 2 top_u + 2 top_v times e^{-2x^2}, with top_u, top_v the highest
     degrees of the cell's u and v windows, so the cell's own w = 2 rule of
-    Q = top_u + top_v + 1 nodes integrates it exactly; values are tabled only on the
-    nodes v can reach (_v_candidates).  In time it is a trigonometric polynomial in
-    e^{2it} of bandwidth sum_axes (w_u - 1) + (w_v - 1), w the window widths, and the
-    largest over the trials, B, sizes the exact time rule.  Mode m0 + j evolves as
+    Q = top_u + top_v + 1 nodes integrates it exactly.  Its weights and values are
+    built only on the nodes v can reach (_v_candidates), by one sweep (_rule_columns).
+    In time it is a trigonometric polynomial in e^{2it} of bandwidth
+    sum_axes (w_u - 1) + (w_v - 1), w the window widths, and the largest over the
+    trials, B, sizes the exact time rule.  Mode m0 + j evolves as
     e^{-i(2(m0 + j) + 1)t}, and only |gu| and |gv| enter, so each window's common
     factor e^{-i(2 m0 + 1)t} drops out.  On t_k = pi k / P, u's series
     sum_j c_j h_{m0+j}(x) e^{-2ijt_k} is then a length-P DFT over j, one FFT per support
@@ -469,12 +472,16 @@ def derivative_bilinear_ratio(
         pairs.append((u_axes, v_axes))
     top_u = max(m0 + c.size - 1 for u_axes, _ in pairs for m0, c in u_axes)
     top_v = max(m0 + c.size - 1 for _, v_axes in pairs for m0, c in v_axes)
-    rule = gauss_hermite_rule(top_u + top_v + 1, 2)
-    Vv = _mirrored_values(top_v, rule)
+    Q = top_u + top_v + 1
+    t_nodes = time.perf_counter()
+    half, rule_nodes = _rule_nodes(Q)
+    Vv = _mirrored_values(top_v, rule_nodes / math.sqrt(2.0))  # the w = 2 rule's nodes
     cands = [[_v_candidates(Vv[m0:m0 + c.size], c) for m0, c in v_axes] for _, v_axes in pairs]
     S = np.unique(np.concatenate([cand for axes in cands for cand in axes]))
     del Vv  # freed before the table on S, which may be as large at M = N
-    V, W = hermite_values_1d(max(top_u, top_v), rule.nodes[S]), rule.weights[S]
+    t_sweep = time.perf_counter()
+    W, V = _rule_columns(half, rule_nodes, S, max(top_u, top_v))
+    t_kernel = time.perf_counter()
     width = max(c.size for _, v_axes in pairs for _, c in v_axes)
     B = max(sum(c.size - 1 for _, c in u_axes + v_axes) for u_axes, v_axes in pairs)
     tg, tw = _time_rule(T, B)
@@ -496,8 +503,9 @@ def derivative_bilinear_ratio(
                      * float(M) ** ((d - 1) / 2.0) * float(N) ** -0.5)
     ratios = raws / normalization
     return {"raws": raws, "ratios": ratios, "ratio_max": float(ratios.max()),
-            "raw_max": float(raws.max()), "normalization": normalization, "Q": rule.size,
-            "P": tg.size}
+            "raw_max": float(raws.max()), "normalization": normalization, "Q": Q, "P": tg.size,
+            "seconds": {"nodes": t_sweep - t_nodes, "sweep": t_kernel - t_sweep,
+                        "kernel": time.perf_counter() - t_kernel}}
 
 
 def bilinear_strichartz_ratio(

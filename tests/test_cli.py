@@ -269,33 +269,41 @@ def test_validate_resolves_the_K_that_run_uses(tmp_path, capsys, text):
         assert all(1 <= Q <= 2 * manifest["derived"]["K"] + 1 for Q in Q_by_cell.values())
         assert manifest["derived"]["P_by_cell"].keys() == Q_by_cell.keys()
         assert "time_nodes_max" not in manifest["derived"]
+        # each cell's seconds by stage, outside derived (which preset_bytes compares)
+        seconds = manifest["summary"]["seconds_by_cell"]
+        assert seconds.keys() == Q_by_cell.keys()
+        assert all(set(sec) == {"nodes", "sweep", "kernel"} and min(sec.values()) >= 0.0
+                   for sec in seconds.values())
+        assert not any("seconds" in key for key in manifest["derived"])
 
 
 @pytest.mark.parametrize("experiment", ["bilinear", "bilinear_derivative"])
 @pytest.mark.parametrize("d,T", [(d, T) for d in (1, 2, 3) for T in (math.pi, 7.0)])
 def test_bilinear_price_bounds_the_kernel_arrays(tmp_path, monkeypatch, experiment, d, T):
     # the kernel's large arrays in every cell: u's FFT buffer (support nodes x P), the
-    # value table, v's phase table and v's GEMM product (candidate nodes x P); then the
-    # price: a bound one byte below the largest must refuse the config on N_list
-    sizes = []
+    # value table from the cell's sweep, v's phase table and v's GEMM product
+    # (candidate nodes x P); then the price: a bound one byte below the largest must
+    # refuse the config on N_list
+    sizes = {}
 
-    def spy(fn, nbytes):
+    def spy(name, fn, nbytes):
         def wrapped(*args, **kwargs):
             out = fn(*args, **kwargs)
-            sizes.append(nbytes(args, out))
+            sizes.setdefault(name, []).append(nbytes(args, out))
             return out
         return wrapped
 
-    monkeypatch.setattr(np.fft, "fft", spy(np.fft.fft, lambda args, out: out.nbytes))
-    monkeypatch.setattr(lab, "hermite_values_1d",
-                        spy(lab.hermite_values_1d, lambda args, out: out.nbytes))
-    monkeypatch.setattr(lab, "_v_support", spy(lab._v_support, lambda args, out: max(
+    monkeypatch.setattr(np.fft, "fft", spy("fft", np.fft.fft, lambda args, out: out.nbytes))
+    monkeypatch.setattr(lab, "_rule_columns",
+                        spy("table", lab._rule_columns, lambda args, out: out[1].nbytes))
+    monkeypatch.setattr(lab, "_v_support", spy("v", lab._v_support, lambda args, out: max(
         args[3].nbytes, 16 * args[1].size * args[3].shape[1])))
     text = (f"experiment = {experiment}\nd = {d}\nT = {T!r}\nN_list = [4, 8, 16]\n"
             "M_list = [2, 4]\ntrials = 4\nseed = 3\n")
     assert main(["run", _write(tmp_path, text), "--output-dir", str(tmp_path / "out")]) == 0
-    assert len(sizes) > 3 * d
-    monkeypatch.setattr(cli, "_MAX_ARRAY_BYTES", max(sizes) - 1)
+    # every spy saw arrays: one table per cell, one FFT and one v series per axis and trial
+    assert len(sizes["table"]) == 6 and len(sizes["fft"]) == len(sizes["v"]) == 6 * 4 * d
+    monkeypatch.setattr(cli, "_MAX_ARRAY_BYTES", max(max(nbytes) for nbytes in sizes.values()) - 1)
     with pytest.raises(ConfigError) as refused:
         cli._resolve(parse_config(text))
     assert refused.value.key == "N_list"

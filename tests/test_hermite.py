@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dsterf
 from scipy.special import eval_hermite, gammaln
 
 from oscillab import (
@@ -26,7 +27,7 @@ from oscillab import (
     hermite_values_1d,
     synthesize,
 )
-from oscillab.hermite import _hermite_rows, _mirrored_values
+from oscillab.hermite import _hermite_rows, _mirrored_values, _rule_columns, _rule_nodes
 
 
 def test_ground_state_value_at_origin():
@@ -120,7 +121,7 @@ def test_folded_value_table_bitwise_equal_full_evaluation(Q, w):
     # nodes, so K_eval runs from 0 up to Q - 1 as well as past Q / 2
     rule = gauss_hermite_rule(Q, w=w)
     for K_eval in sorted({0, min(Q - 1, 300), Q // 2 + 8}):
-        folded = _mirrored_values(K_eval, rule)
+        folded = _mirrored_values(K_eval, rule.nodes)
         assert folded.tobytes() == hermite_values_1d(K_eval, rule.nodes).tobytes()
 
 
@@ -133,6 +134,122 @@ def test_rows_from_start_are_the_full_table_rows_bitwise(Q):
         rows = list(_hermite_rows(Q, x, start=start))
         assert len(rows) == Q + 1 - start
         assert np.array(rows).tobytes() == full[start:].tobytes()
+
+
+def _allocating_rows(K_eval, x, start=0):
+    """The recurrence as it stood before it ran on preallocated buffers: fresh arrays
+    for every step, the renormalization test on every node, and kappa + counter
+    formed for every row.  Reference for the bits of rules and tables."""
+    a = (-0.5 * x * x - 0.25 * math.log(math.pi)) * (1.0 / math.log(2.0))
+    kappa = np.floor(a)
+    ebar = np.exp2(a - kappa)
+    kap_i = np.maximum(kappa, -2.0 ** 30).astype(np.int32)
+    cnt = np.zeros(x.size, dtype=np.int32)
+    p_prev, p_cur = np.zeros_like(x), np.ones_like(x)
+    if start <= 0:
+        yield np.ldexp(ebar, kap_i)
+    for k in range(K_eval):
+        p_prev, p_cur = p_cur, x * math.sqrt(2.0 / (k + 1)) * p_cur \
+            - math.sqrt(k / (k + 1.0)) * p_prev
+        if k % 8 == 0:
+            big = np.abs(p_cur) > 2.0 ** 500
+            if big.any():
+                scale = np.where(big, 2.0 ** -512, 1.0)
+                p_prev = p_prev * scale
+                p_cur = p_cur * scale
+                cnt += np.where(big, 512, 0)
+        if k >= start - 1:
+            yield np.ldexp(p_cur * ebar, kap_i + cnt)
+
+
+def _allocating_values(K_eval, x):
+    return np.array(list(_allocating_rows(K_eval, np.asarray(x, dtype=float)))).reshape(
+        K_eval + 1, np.size(x))
+
+
+def _allocating_mirrored(K_eval, nodes):
+    """_mirrored_values before the sweep (h_Q's zeros keep the sign of the mirror)."""
+    Q = nodes.size
+    lo = Q // 2
+    out = np.empty((K_eval + 1, Q))
+    for k, row in enumerate(_allocating_rows(K_eval, nodes[lo:])):
+        out[k, lo:] = row
+    sign = (-1.0) ** np.arange(K_eval + 1)
+    np.multiply(out[:, lo + Q % 2:][:, ::-1], sign[:, None], out=out[:, :lo])
+    return out
+
+
+def _allocating_rule(Q, w):
+    """gauss_hermite_rule before the sweep: Newton on the nonnegative half, then the
+    compensated weights there by a second streamed pass over every row."""
+    odd = Q % 2
+    b_sq = np.arange(Q + 1) / 2.0
+    b_sq[Q] = 0.0
+    i = np.arange(0, Q, 2)
+    diag = b_sq[i] + b_sq[i + 1]
+    off = np.sqrt(b_sq[i[:-1] + 1] * b_sq[i[:-1] + 2])
+    lam = dsterf(diag, off)[0] if off.size else diag
+    pos = np.sqrt(lam[odd:])
+    h_prev, h_top = _allocating_rows(Q, pos, start=Q - 1)
+    pos = pos - h_top / (math.sqrt(2.0 * Q) * h_prev - pos * h_top)
+    half = np.concatenate([np.zeros(odd), pos])
+    sumsq = np.zeros_like(half)
+    for row in _allocating_rows(Q - 1, half):
+        sumsq += row * row
+    w_half = 1.0 / sumsq
+    nodes = np.concatenate([-pos[::-1], half])
+    weights = np.concatenate([w_half[odd:][::-1], w_half])
+    if w == 2:
+        return nodes / math.sqrt(2.0), weights / math.sqrt(2.0)
+    return nodes, weights
+
+
+# extreme abscissae: the clipped exponent past 3e4, overflow to inf and NaN in the
+# polynomials (1e25, 1e300), and NaN itself
+_EXTREME_X = np.array([0.0, 0.3, -1.7, 11.0, 30.0, 60.0, 2.9e4, -3.1e4, 5e4, 1e6, 1e25,
+                       -1e300, np.inf, np.nan])
+
+
+@pytest.mark.parametrize("Q", [1, 2, 3, 34, 66, 125, 126, 513, 1380, 1895, 3910])
+@pytest.mark.parametrize("w", [1, 2])
+def test_rules_and_tables_keep_the_allocating_recurrence_bits(Q, w):
+    # the identity tally of the scans workload and criterion 01 rest on these bits
+    rule = gauss_hermite_rule(Q, w)
+    nodes, weights = _allocating_rule(Q, w)
+    assert rule.nodes.tobytes() == nodes.tobytes()
+    assert rule.weights.tobytes() == weights.tobytes()
+    K_eval = min(Q + 8, 300)
+    assert _mirrored_values(K_eval, rule.nodes).tobytes() == \
+        _allocating_mirrored(K_eval, nodes).tobytes()
+
+
+@pytest.mark.parametrize("K_eval", [0, 1, 8, 9, 40, 3000])
+def test_values_keep_the_allocating_recurrence_bits(K_eval):
+    rng = np.random.default_rng(K_eval)
+    for x in (_EXTREME_X, rng.normal(scale=20.0, size=64)):
+        with np.errstate(all="ignore"):
+            got, want = hermite_values_1d(K_eval, x), _allocating_values(K_eval, x)
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(Q=st.integers(1, 2000), data=st.data())
+def test_rule_columns_are_the_rule_and_table_columns(Q, data):
+    # one sweep gives a w = 2 rule's weights and value table on any columns: odd Q's
+    # 0.0 node, mirror pairs, repeats and any order
+    cols = data.draw(st.lists(st.integers(0, Q - 1), min_size=1, max_size=40))
+    cols += [Q - 1 - i for i in data.draw(st.lists(st.sampled_from(cols), max_size=4))]
+    if Q % 2 and data.draw(st.booleans()):
+        cols.append(Q // 2)
+    cols = np.array(cols)
+    K_eval = data.draw(st.integers(0, Q + 8))
+    rule = gauss_hermite_rule(Q, 2)
+    W, V = _rule_columns(*_rule_nodes(Q), cols, K_eval)
+    assert W.tobytes() == rule.weights[cols].tobytes()
+    assert V.tobytes() == _allocating_values(K_eval, rule.nodes[cols]).tobytes()
+    # the rule's Newton step unpacks two rows: every row must be an array of its own
+    rows = list(_hermite_rows(16, rule.nodes[cols]))
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(rows) for b in rows[:i])
 
 
 def test_basis_tables_are_full_evaluations():
