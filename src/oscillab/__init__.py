@@ -3,7 +3,7 @@
 The package provides, in layers:
 
 * :mod:`oscillab.hermite` — orthonormal Hermite bases, Gauss quadrature with
-  envelope-compensated weights, synthesis/analysis transforms;
+  envelope-compensated weights, synthesis and projection transforms;
 * :mod:`oscillab.operators` — ladder words (gradients / coordinate multiplications),
   the Hamiltonian, Littlewood-Paley blocks, Sobolev norms and the I-operator;
 * :mod:`oscillab.solver` — Lie/Strang splitting for i u_t = H u + |u|^2 u with
@@ -20,7 +20,6 @@ from .hermite import (
     MultiIndex,
     QuadratureRule,
     SpectralField,
-    analyze,
     eigenvalue,
     galerkin_project,
     gauss_hermite_rule,
@@ -76,7 +75,7 @@ __all__ = [
     "__version__",
     # hermite
     "HermiteBasis", "MultiIndex", "QuadratureRule", "SpectralField",
-    "analyze", "eigenvalue", "galerkin_project", "gauss_hermite_rule",
+    "eigenvalue", "galerkin_project", "gauss_hermite_rule",
     "hermite_values_1d", "synthesize",
     # operators
     "IOperatorSpec", "PWord", "apply_H", "apply_I", "apply_I_inverse",

@@ -17,15 +17,15 @@ two files into the output directory:
 
 A config is refused, naming the key, before any table is built (_resolve).  Its
 largest array is priced from the inputs; for the bilinear experiments that is a
-cell's FFT buffer (support nodes by P time nodes) or its value table, bounded from N,
-M and d; T enters only through whether it is a multiple of pi.
+cell's value table, bounded from N, M, d and the word.
 
 Determinism: all randomness derives from per-cell ``SeedSequence((seed, tags...))``
 streams and parallel cells are merged by index, so ``--threads`` (or the
 OSCILLAB_THREADS environment variable) never changes the output bytes.  The BLAS
-thread count might: identity_k1 runs no BLAS matrix product, the bilinear experiments
-take u's series by FFT but v's and the space sums through BLAS, and the solver
-experiments run GEMMs.
+thread count can change them only where BLAS runs: not in identity_k1 or the bilinear
+kernel, whose time series are numpy FFTs and whose sums are fixed-order numpy reductions
+(a bilinear draw's norm is one short BLAS dot product), but in orthogonality's one
+projection and the solver experiments' GEMMs.
 
 Exit codes: 0 success, 1 error (bad config / runtime failure), 2 completed but
 tainted (e.g. solver spillage above tolerance).
@@ -51,8 +51,8 @@ from .hermite import HARD_CAP_K_EVAL, HEADROOM, HermiteBasis, MultiIndex, Spectr
 from .operators import (IOperatorSpec, PWord, apply_I, bernstein_draws, bernstein_ratios,
                         sobolev_norm)
 from .solver import SolverConfig, evolve
-from .lab import (_TUPLE_BLOCK, _bandwidth_bound, _time_rule, almost_orthogonality_scan,
-                  bilinear_min_K, derivative_bilinear_ratio, energy_increment_scan, fit_power_law,
+from .lab import (_TUPLE_BLOCK, almost_orthogonality_scan, bilinear_min_K,
+                  derivative_bilinear_ratio, energy_increment_scan, fit_power_law,
                   identity_residual_tuples, norm_growth_experiment)
 
 __all__ = [
@@ -233,7 +233,7 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
                           f"{_IDENTITY_EXHAUSTIVE_K_CAP}; use d >= 2 for sampled tuples")
     if dt is not None and T / dt > _MAX_STEPS:
         raise ConfigError("dt", f"T / dt = {T / dt:.3g} steps exceeds {_MAX_STEPS:.0e}")
-    if "M_list" in preset:  # bilinear: 1-D tables; a cell's FFT buffer or value table is largest
+    if "M_list" in preset:  # bilinear: 1-D tables; a cell's value table is largest
         if min(N_list) < max(M_list):
             raise ConfigError("M_list", f"M_list must not exceed min(N_list) = {min(N_list)} "
                               f"(u carries the high frequency), got {M_list}")
@@ -242,10 +242,8 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
         if K < top:
             raise ConfigError("K", f"K = {K} is below {top}, the degree that holds every packet "
                               "draw of N_list and M_list and its word")
-        P = _time_rule(T, _bandwidth_bound(max(N_list), max(M_list), d, word_a.order))[0].size
         Q = top + bilinear_min_K(max(M_list), d) + 1  # bounds top_u + top_v + 1, the cell's rule
-        key, size = "N_list", 8 * Q * max(2 * P, top + 1)  # Q x P complex, or (top + 1) x Q
-        what = f"an FFT buffer of {Q} nodes x {P} times or a value table of {top + 1} x {Q}"
+        key, size, what = "N_list", 8 * Q * (top + 1), f"a value table of {top + 1} x {Q}"
     elif cfg.experiment == "identity_k1":  # 1-D tables; 4 value and 3 derivative rows per tuple
         size = 8 * (K + HEADROOM + 1) * (2 * K + 2) + 8 * 7 * _TUPLE_BLOCK * (K + 1)
         key, what = "K", (f"a {K + HEADROOM + 1} x {2 * K + 2} value table and a gather of "

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dsterf
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "gauss_hermite_rule",
     "eigenvalue",
     "synthesize",
-    "analyze",
     "galerkin_project",
     "HARD_CAP_K_EVAL",
 ]
@@ -326,27 +324,6 @@ class HermiteBasis:
         """
         return self.values[: self.K + 1] * self.rule.weights
 
-    @cached_property
-    def _analysis_matrix(self) -> np.ndarray:
-        """(K+1, Q) least-squares analysis: Gram-corrected dual (exact on spanned data)."""
-        V = self.values[: self.K + 1]
-        D = self._dual_matrix
-        gram = D @ V.T
-        chol = cho_factor(gram, lower=True)
-        return np.ascontiguousarray(cho_solve(chol, D))
-
-    def mode_values(self, m) -> np.ndarray:
-        """Grid values of the basis mode h_m (degree components may exceed K up to K_eval)."""
-        m = MultiIndex(m)
-        if len(m) != self.d:
-            raise ValueError("multi-index dimension mismatch")
-        if max(m) > self.K_eval:
-            raise ValueError("mode degree exceeds K_eval")
-        out = self.values[m[0]]
-        for mj in m[1:]:
-            out = np.multiply.outer(out, self.values[mj])
-        return out
-
 
 @dataclass(eq=False)
 class SpectralField:
@@ -442,23 +419,10 @@ def synthesize(u: SpectralField) -> np.ndarray:
     return _transform(u.coeffs, u.basis._synthesis_matrix)
 
 
-def analyze(values: np.ndarray, basis: HermiteBasis) -> SpectralField:
-    """Coefficients of grid values: discrete least squares on the basis rule.
-
-    For data in the span of the basis this is an exact inverse of synthesize
-    (the Gram correction cancels the quadrature error of the bilinear products).
-    """
-    values = np.asarray(values)
-    if values.shape != (basis.rule.size,) * basis.d:
-        raise ValueError("value tensor does not match the basis grid")
-    return SpectralField(basis, _transform(values, basis._analysis_matrix))
-
-
 def galerkin_project(values: np.ndarray, basis: HermiteBasis) -> SpectralField:
     """Raw dual projection of grid values: coefficients int f h_m dx by the rule.
 
-    Exact for f in the quartic class (e.g. the cubic nonlinearity of degree-K fields);
-    for bilinear-class data use `analyze` instead.
+    Exact for f in the quartic class (e.g. the cubic nonlinearity of degree-K fields).
     """
     values = np.asarray(values)
     if values.shape != (basis.rule.size,) * basis.d:

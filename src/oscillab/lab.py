@@ -26,7 +26,8 @@ to a phase, so in time each cell integrates exactly, for any T, on equispaced no
 in [0, pi): at least B + 1 at a multiple of pi and 2B + 1 else, B its windows'
 bandwidth, P rounded up to a length with no prime factor above 11.  The kernel bounds
 v's support from the coefficients alone and tables values only there; on those nodes
-u's time series is one FFT per node, and v's a real GEMM on the interleaved data.
+both factors' time series are FFTs, one per node and factor, and every sum runs in a
+fixed order: the kernel makes no BLAS call.
 
 Every ladder letter here -- the identity's 1-D derivative table and the words on the
 bilinear factors -- goes through the one kernel of operators (operators._letter_image);
@@ -375,31 +376,18 @@ def _time_rule(T: float, B: int) -> tuple[np.ndarray, np.ndarray]:
     return math.pi * np.arange(P) / P, (T + 2.0 * P * np.fft.ifft(I_n, P).real) / P
 
 
-def _bandwidth_bound(N: int, M: int, d: int, order: int) -> int:
-    """Bound on derivative_bilinear_ratio's bandwidth B, words of `order` letters in all:
-    a window of mean degree nbar is <= 10 sqrt(nbar) + 7 wide (_coherent_axis), a letter
-    adds <= 2, and sum_axes sqrt(nbar) <= sqrt(d sum nbar), sum nbar <= (N^2 + M^2) / 2."""
-    return math.ceil(10.0 * (math.sqrt(d * (N * N + M * M) / 2.0) + math.sqrt(d * M * M / 2.0))
-                     + 12 * d + 2 * order)
+_SERIES_BLOCK = 2 ** 18  # bytes of the buffer in which a bilinear cell takes its FFTs
 
 
 def _v_candidates(Vv: np.ndarray, cv: np.ndarray) -> np.ndarray:
     """Nodes where v may reach 1e-11 of its peak: |gv(x, t)| <= sum_m |c_m| |h_m(x)| at
-    every t, and max |gv| >= max_x |gv(x, 0)| (half the floor covers roundoff)."""
-    floor = 1e-11 * np.abs((Vv.T @ cv.view(float).reshape(-1, 2)).view(complex)).max()
-    return np.flatnonzero(np.abs(cv) @ np.abs(Vv) > 0.5 * floor)
-
-
-def _v_support(Vv: np.ndarray, cols: np.ndarray, cv: np.ndarray, phases: np.ndarray):
-    """(columns, |gv|^2 there): v's support among the candidate columns `cols` of its
-    rows Vv, cut at 1e-11 of its peak amplitude.  The series is a real GEMM of Vv by
-    c_j e^{-2ijt} with real and imaginary parts interleaved."""
-    abs_gv = np.abs((Vv[:, cols].T @ (cv[:, None] * phases[:cv.size]).view(float)).view(complex))
-    peak = abs_gv.max(axis=1)
-    sup = peak > 1e-11 * peak.max()
-    if not sup.all():
-        abs_gv, cols = abs_gv[sup], cols[sup]
-    return cols, np.square(abs_gv, out=abs_gv)
+    every t, and max |gv| >= max_x |gv(x, 0)| (half the floor covers roundoff).  Both
+    sums run over the window's rows in order, with no BLAS call."""
+    gv0, env = np.zeros(Vv.shape[1], dtype=complex), np.zeros(Vv.shape[1])
+    for c, row in zip(cv, Vv):
+        gv0 += c * row
+        env += abs(c) * np.abs(row)
+    return np.flatnonzero(env > 0.5e-11 * np.abs(gv0).max())
 
 
 def bilinear_min_K(N: int, d: int = 2) -> int:
@@ -440,9 +428,11 @@ def derivative_bilinear_ratio(
     sum_axes (w_u - 1) + (w_v - 1), w the window widths, and the largest over the
     trials, B, sizes the exact time rule.  Mode m0 + j evolves as
     e^{-i(2(m0 + j) + 1)t}, and only |gu| and |gv| enter, so each window's common
-    factor e^{-i(2 m0 + 1)t} drops out.  On t_k = pi k / P, u's series
-    sum_j c_j h_{m0+j}(x) e^{-2ijt_k} is then a length-P DFT over j, one FFT per support
-    node; v's is a GEMM with one table e^{-2ijt} as wide as v's widest window.
+    factor e^{-i(2 m0 + 1)t} drops out.  On t_k = pi k / P, each factor's series
+    sum_j c_j h_{m0+j}(x) e^{-2ijt_k} is then a length-P DFT over j: one FFT per node and
+    factor, taken for blocks of nodes in one buffer of _SERIES_BLOCK bytes.  The rows
+    W |gu|^2 |gv|^2 of the nodes are added in node order, so no value depends on the
+    block size or on BLAS.
     """
     if basis.d != 1:
         raise ValueError("pass a 1-D axis basis; tensor packets factorize per axis")
@@ -482,22 +472,31 @@ def derivative_bilinear_ratio(
     t_sweep = time.perf_counter()
     W, V = _rule_columns(half, rule_nodes, S, max(top_u, top_v))
     t_kernel = time.perf_counter()
-    width = max(c.size for _, v_axes in pairs for _, c in v_axes)
     B = max(sum(c.size - 1 for _, c in u_axes + v_axes) for u_axes, v_axes in pairs)
     tg, tw = _time_rule(T, B)
-    phases = np.exp(-2j * np.outer(np.arange(width), tg))  # one table for the cell
+    # a block of nodes: u's and v's zero-padded series (P >= B + 1 >= either window), and
+    # their products with row 0 for the running sum
+    series = np.empty((max(1, _SERIES_BLOCK // (32 * tg.size)), 2, tg.size), dtype=complex)
+    rows = np.empty((len(series) + 1, tg.size))
     raws = np.empty(trials)
     for trial, ((u_axes, v_axes), cand_axes) in enumerate(zip(pairs, cands)):
         prof = np.ones_like(tg)
         for (m0u, cu), (m0v, cv), cand in zip(u_axes, v_axes, cand_axes):
-            cols = np.searchsorted(S, cand)  # columns of V
-            nodes, gv_sq = _v_support(V[m0v:m0v + cv.size], cols, cv, phases)  # gu gv = 0 off it
-            gu = np.zeros((nodes.size, tg.size), dtype=complex)  # P >= B + 1 >= cu.size
-            np.multiply(V[m0u:m0u + cu.size, nodes].T, cu, out=gu[:, :cu.size])
-            gu = np.fft.fft(gu, axis=1, out=gu).view(float)
-            np.square(gu, out=gu)  # the tail runs in place: |gu|^2 |gv|^2 in gv_sq
-            gv_sq *= np.add(gu[:, 0::2], gu[:, 1::2], out=gu[:, 0::2])
-            prof = prof * (W[nodes] @ gv_sq)
+            cols = np.searchsorted(S, cand)  # columns of V; gu gv = 0 off them
+            rows[0] = 0.0
+            for s in range(0, cols.size, len(series)):
+                blk = cols[s:s + len(series)]
+                buf, n = series[:blk.size], blk.size + 1
+                for f, (m0, c) in enumerate(((m0u, cu), (m0v, cv))):
+                    np.multiply(V[m0:m0 + c.size, blk].T, c, out=buf[:, f, :c.size])
+                    buf[:, f, c.size:] = 0.0
+                g = np.fft.fft(buf, axis=-1, out=buf).view(float)
+                np.square(g, out=g)
+                g_sq = np.add(g[..., 0::2], g[..., 1::2], out=g[..., 0::2])  # |gu|^2, |gv|^2
+                np.multiply(g_sq[:, 0], g_sq[:, 1], out=rows[1:n])
+                rows[1:n] *= W[blk, None]
+                rows[0] = rows[:n].sum(axis=0)  # node by node, in order, whatever the block
+            prof = prof * rows[0]
         raws[trial] = math.sqrt(float(np.sum(tw * prof)))
     normalization = (float(N) ** word_a.order * float(M) ** word_b.order
                      * float(M) ** ((d - 1) / 2.0) * float(N) ** -0.5)

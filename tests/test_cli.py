@@ -280,30 +280,31 @@ def test_validate_resolves_the_K_that_run_uses(tmp_path, capsys, text):
 @pytest.mark.parametrize("experiment", ["bilinear", "bilinear_derivative"])
 @pytest.mark.parametrize("d,T", [(d, T) for d in (1, 2, 3) for T in (math.pi, 7.0)])
 def test_bilinear_price_bounds_the_kernel_arrays(tmp_path, monkeypatch, experiment, d, T):
-    # the kernel's large arrays in every cell: u's FFT buffer (support nodes x P), the
-    # value table from the cell's sweep, v's phase table and v's GEMM product
-    # (candidate nodes x P); then the price: a bound one byte below the largest must
-    # refuse the config on N_list
+    # the kernel's large arrays in every cell: v's rows on all the rule's nodes, from
+    # which _v_candidates picks the nodes, and the value table from the cell's sweep on
+    # them; the price must bound both, so a bound one byte below the largest must refuse
+    # the config on N_list.  The FFTs run in one buffer of at most _SERIES_BLOCK bytes
     sizes = {}
 
     def spy(name, fn, nbytes):
         def wrapped(*args, **kwargs):
             out = fn(*args, **kwargs)
-            sizes.setdefault(name, []).append(nbytes(args, out))
+            sizes.setdefault(name, []).append(nbytes(out))
             return out
         return wrapped
 
-    monkeypatch.setattr(np.fft, "fft", spy("fft", np.fft.fft, lambda args, out: out.nbytes))
+    monkeypatch.setattr(np.fft, "fft", spy("fft", np.fft.fft, lambda out: out.nbytes))
+    monkeypatch.setattr(lab, "_mirrored_values",
+                        spy("rows", lab._mirrored_values, lambda out: out.nbytes))
     monkeypatch.setattr(lab, "_rule_columns",
-                        spy("table", lab._rule_columns, lambda args, out: out[1].nbytes))
-    monkeypatch.setattr(lab, "_v_support", spy("v", lab._v_support, lambda args, out: max(
-        args[3].nbytes, 16 * args[1].size * args[3].shape[1])))
+                        spy("table", lab._rule_columns, lambda out: out[1].nbytes))
     text = (f"experiment = {experiment}\nd = {d}\nT = {T!r}\nN_list = [4, 8, 16]\n"
             "M_list = [2, 4]\ntrials = 4\nseed = 3\n")
     assert main(["run", _write(tmp_path, text), "--output-dir", str(tmp_path / "out")]) == 0
-    # every spy saw arrays: one table per cell, one FFT and one v series per axis and trial
-    assert len(sizes["table"]) == 6 and len(sizes["fft"]) == len(sizes["v"]) == 6 * 4 * d
-    monkeypatch.setattr(cli, "_MAX_ARRAY_BYTES", max(max(nbytes) for nbytes in sizes.values()) - 1)
+    # one row set and one table per cell, at least one FFT per axis and trial
+    assert len(sizes["rows"]) == len(sizes["table"]) == 6 and len(sizes["fft"]) >= 6 * 4 * d
+    assert max(sizes["fft"]) <= lab._SERIES_BLOCK
+    monkeypatch.setattr(cli, "_MAX_ARRAY_BYTES", max(sizes["rows"] + sizes["table"]) - 1)
     with pytest.raises(ConfigError) as refused:
         cli._resolve(parse_config(text))
     assert refused.value.key == "N_list"
@@ -567,10 +568,20 @@ def test_exhaustive_identity_writes_no_negative_zero(tmp_path):
     assert not any(row[L0] == "-0.0" or row[rhs] == "-0.0" for row in cells)
 
 
-def test_identity_preset_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the preset, K = 16: a BLAS-backed d = 1 scan gave equal bytes under both settings
-    # at K = 6, 8 and 12 and differed only at K = 16
-    cfg_path = _write(tmp_path, "experiment = identity_k1\nseed = 20260814\n")
+_CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+@pytest.mark.parametrize("config", [
+    # the identity preset, K = 16: a BLAS-backed d = 1 scan gave equal bytes under both
+    # settings at K = 6, 8 and 12 and differed only at K = 16
+    "experiment = identity_k1\nseed = 20260814\n",
+    # the bilinear kernel with v's series and the space sums through BLAS differed at
+    # seed 3; M = N cells put the widest v windows through the FFT
+    (_CONFIGS / "bilinear_derivative_seed3.cfg").read_text(encoding="utf-8"),
+    (_CONFIGS / "bilinear_M_eq_N_seed7.cfg").read_text(encoding="utf-8"),
+], ids=["identity_k1", "bilinear_derivative_seed3", "bilinear_M_eq_N_seed7"])
+def test_identity_preset_bytes_do_not_depend_on_blas_threads(tmp_path, config):
+    cfg_path = _write(tmp_path, config)
     src = str(Path(__file__).resolve().parents[1] / "src")
     csv_bytes = {}
     for n in ("1", "2"):

@@ -20,7 +20,6 @@ from oscillab import (
     HermiteBasis,
     MultiIndex,
     SpectralField,
-    analyze,
     eigenvalue,
     galerkin_project,
     gauss_hermite_rule,
@@ -333,15 +332,6 @@ def test_basis_shape_and_k_eval():
     assert basis.companion_rule.weight_exponent == 1
 
 
-def test_analyze_synthesize_roundtrip_2d():
-    basis = HermiteBasis(2, 10)
-    rng = np.random.default_rng(7)
-    coeffs = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
-    u = SpectralField(basis, coeffs)
-    back = analyze(synthesize(u), basis)
-    assert_allclose(back.coeffs, u.coeffs, rtol=0, atol=1e-12 * u.l2_norm())
-
-
 def _reference_contract_axes(coeffs, table):
     """Complex tensordot contraction of `table` along every axis: the transforms
     before they ran as real GEMMs on the real and imaginary planes."""
@@ -369,22 +359,6 @@ def test_transforms_match_complex_tensordot_reference(d, K):
     assert _max_rel(got, _reference_contract_axes(coeffs, synth_t)) <= 1e-13
     got = galerkin_project(grid, basis).coeffs
     assert _max_rel(got, _reference_contract_axes(grid, basis._dual_matrix)) <= 1e-13
-    got = analyze(grid, basis).coeffs
-    assert _max_rel(got, _reference_contract_axes(grid, basis._analysis_matrix)) <= 1e-13
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    d=st.integers(min_value=1, max_value=2),
-    K=st.integers(min_value=0, max_value=12),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-def test_analyze_inverts_synthesize(d, K, seed):
-    basis = HermiteBasis(d, K)
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
-    back = analyze(synthesize(SpectralField(basis, coeffs)), basis).coeffs
-    assert _max_rel(back, coeffs) <= 1e-12
 
 
 def test_galerkin_project_quartic_class_exact():
@@ -392,21 +366,21 @@ def test_galerkin_project_quartic_class_exact():
     # ground state against h_0 gives int h_0^4 = (2 pi)^{-1/2}, and odd
     # modes vanish identically by parity
     basis = HermiteBasis(1, 12)
-    g = basis.mode_values((0,))
+    g = synthesize(SpectralField.from_mode(basis, (0,))).real
     proj = galerkin_project(g**3, basis)
     assert_allclose(proj.coeffs[0].real, 1.0 / math.sqrt(2.0 * math.pi), rtol=1e-13)
     assert abs(proj.coeffs[1]) < 1e-16
     assert abs(proj.coeffs[3]) < 1e-16
 
 
-def test_from_mode_and_mode_values():
+def test_from_mode_synthesizes_the_tensor_mode():
     basis = HermiteBasis(2, 5)
     u = SpectralField.from_mode(basis, (1, 3), amplitude=2.0 - 1.0j)
     assert u.coeffs[1, 3] == 2.0 - 1.0j
     assert np.count_nonzero(u.coeffs) == 1
-    grid = basis.mode_values((1, 3))
     v1 = hermite_values_1d(basis.K_eval, basis.rule.nodes)
-    assert_allclose(grid, np.multiply.outer(v1[1], v1[3]), rtol=0, atol=1e-15)
+    want = (2.0 - 1.0j) * np.multiply.outer(v1[1], v1[3])
+    assert_allclose(synthesize(u), want, rtol=0, atol=1e-15)
 
 
 def test_l2_norm_matches_companion_quadrature():

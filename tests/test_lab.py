@@ -373,17 +373,6 @@ def test_identity_scan_derivative_table_is_the_old_loop_bitwise(K):
     assert got.tobytes() == _reference_derivative_table(V, K).tobytes()
 
 
-def _reference_v_nodes(Vv, m0, cv, tg):
-    """The support cut of the kernel before its phase table: the same floor and
-    candidate nodes, on the full phases e^{-i(2m+1)t} of the window's modes."""
-    m = np.arange(m0, m0 + cv.size)
-    ev = (cv[:, None] * np.exp(-1j * np.outer(2 * m + 1, tg))).view(float)
-    floor = 1e-11 * np.abs((Vv.T @ ev[:, :2]).view(complex)).max()
-    cand = np.flatnonzero(np.abs(cv) @ np.abs(Vv) > 0.5 * floor)
-    peak = np.abs((Vv[:, cand].T @ ev).view(complex)).max(axis=1)
-    return cand[peak > 1e-11 * peak.max()]
-
-
 def _reference_time_rule(T, N):
     """Composite 8-node Gauss-Legendre on [0, T], 4 x finer than the rule the kernel
     used before its time rule was sized to the windows: 32 max(8, 2N) ceil(T / pi)
@@ -395,15 +384,13 @@ def _reference_time_rule(T, N):
     return (mid[:, None] + h[:, None] * g).ravel(), (h[:, None] * w).ravel()
 
 
-def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed, v_nodes=None,
-                          cell_rule=False):
+def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed, cell_rule=False):
     """The dense trial loop on _reference_time_rule: both factors with their full
     phases e^{-i(2m+1)t}, complex products, on every node where v's envelope
     sum_m |c_m| |h_m(x)| (which bounds |gv| at all t) is above 1e-12 of its peak,
     in blocks of time nodes.  The nodes are those of the basis's 2K+2 rule, or with
     `cell_rule` those of the Gauss rule of top_u + top_v + 1 nodes sized to the cell's
-    windows, tabled by full evaluation.  When `v_nodes` is a list, each axis's
-    _reference_v_nodes on the kernel's time nodes is appended to it."""
+    windows, tabled by full evaluation."""
     tg, tw = _reference_time_rule(T, N)
     K_draw = basis.K - max(word_a.order, word_b.order)
     pairs = []
@@ -425,14 +412,10 @@ def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed, v_nod
         rule = basis.rule
         V = basis.values[: basis.K + 1]
     W = rule.weights
-    B = max(sum(c.size - 1 for _, c in u_axes + v_axes) for u_axes, v_axes in pairs)
     raws = []
     for u_axes, v_axes in pairs:
         prof = np.ones_like(tg)
         for (m0u, cu), (m0v, cv) in zip(u_axes, v_axes):
-            if v_nodes is not None:
-                v_nodes.append(_reference_v_nodes(V[m0v:m0v + cv.size], m0v, cv,
-                                                  lab._time_rule(T, B)[0]))
             mu, mv = np.arange(m0u, m0u + cu.size), np.arange(m0v, m0v + cv.size)
             env = np.abs(cv) @ np.abs(V[mv])
             x = np.flatnonzero(env > 1e-12 * env.max())
@@ -473,34 +456,15 @@ def test_bilinear_kernel_matches_dense_reference(d, word, T):
 
 @pytest.mark.parametrize("d,word,T", [(2, "GRAD1", math.pi)] + [
     (d, "identity", T) for d in (1, 2, 3) for T in (math.pi, 1.0, 7.0)])
-def test_bilinear_phase_table_matches_dense_reference_at_large_N(d, word, T, monkeypatch):
-    # at N = 64 the full phases (2m+1)t reach 2.5e4 rad per pi; the kernel's e^{-2ijt}
-    # table must give the same raws and keep the very same support nodes of the cell's rule
+def test_bilinear_phase_table_matches_dense_reference_at_large_N(d, word, T):
+    # at N = 64 the full phases (2m+1)t reach 2.5e4 rad per pi; the kernel's series in
+    # e^{-2ijt} must give the same raws
     w = _WORDS[word]
     basis = HermiteBasis(1, bilinear_min_K(64, d) + w.order)
-    seen, cands, v_support, v_candidates = [], [], lab._v_support, lab._v_candidates
-
-    def spy(*args):
-        seen.append(v_support(*args))
-        return seen[-1]
-
-    def spy_candidates(*args):
-        cands.append(v_candidates(*args))
-        return cands[-1]
-
-    monkeypatch.setattr(lab, "_v_support", spy)
-    monkeypatch.setattr(lab, "_v_candidates", spy_candidates)
     for N in (32, 64):
-        seen.clear()
-        cands.clear()
-        want_nodes = []
         got = derivative_bilinear_ratio(basis, d, w, w, N, 2, T, 1, 31)["raws"]
-        want = _dense_reference_raws(basis, d, w, w, N, 2, T, 1, 31, want_nodes, cell_rule=True)
+        want = _dense_reference_raws(basis, d, w, w, N, 2, T, 1, 31, cell_rule=True)
         assert_allclose(got, want, rtol=1e-13, atol=0)
-        assert len(seen) == len(want_nodes) == d
-        S = np.unique(np.concatenate(cands))  # the rule's nodes the kernel tables values on
-        for (nodes, _), want_ax in zip(seen, want_nodes):
-            assert np.array_equal(S[nodes], want_ax)
 
 
 @settings(max_examples=20, deadline=None)
@@ -559,9 +523,9 @@ def test_time_rule_is_exact_to_the_bandwidth(B, k, T):
 
 
 def _gemm_series_raws(basis, d, word, N, M, T, trials, seed):
-    """The kernel's raws with u's time series, like v's, a real GEMM of the value table
+    """The kernel's raws with both factors' time series a real GEMM of the value table
     by c_j e^{-2ijt_k}, as before the FFT: the same draws, every node of the cell's
-    Gauss rule (the kernel's support is a subset) and lab._time_rule's nodes and weights
+    Gauss rule (the kernel's nodes are a subset) and lab._time_rule's nodes and weights
     for the draws' bandwidth.  The word acts on u."""
     pairs = []
     for trial in range(trials):
@@ -591,33 +555,50 @@ def _gemm_series_raws(basis, d, word, N, M, T, trials, seed):
 
 
 @pytest.mark.parametrize("T", [math.pi, 7.0])
-@pytest.mark.parametrize("d,word,N,trials", [
-    (1, "identity", 64, 1), (2, "identity", 64, 1), (2, "GRAD1", 16, 3), (3, "X1.GRAD2", 16, 2)])
-def test_bilinear_fft_series_matches_gemm_reference(d, word, N, trials, T):
-    # u's series by one FFT per support node against the GEMM on the same nodes
+@pytest.mark.parametrize("d,word,N,M,trials", [
+    (1, "identity", 64, 2, 1), (2, "identity", 64, 2, 1), (2, "GRAD1", 16, 2, 3),
+    (3, "X1.GRAD2", 16, 2, 2), (2, "GRAD1", 16, 16, 3), (1, "identity", 64, 64, 1)])
+def test_bilinear_fft_series_matches_gemm_reference(d, word, N, M, trials, T):
+    # both factors' series by FFT against the GEMM on every node of the cell's rule; at
+    # M = N v's window is as wide as u's
     w = _WORDS[word]
     basis = HermiteBasis(1, bilinear_min_K(N, d) + w.order)
-    got = derivative_bilinear_ratio(basis, d, w, PWord.identity(), N, 2, T, trials, 5)["raws"]
-    want = _gemm_series_raws(basis, d, w, N, 2, T, trials, 5)
+    got = derivative_bilinear_ratio(basis, d, w, PWord.identity(), N, M, T, trials, 5)["raws"]
+    want = _gemm_series_raws(basis, d, w, N, M, T, trials, 5)
     assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
-def test_bilinear_cell_memory_bounded():
-    # one N = 64, d = 2 cell of 4 trials at seed 1 peaks at 14.7 MiB: the value table on
-    # the 362 candidate nodes (3.8 MiB), and per axis the FFT buffer on the <= 358
-    # support nodes x P = 660 (3.6 MiB) and |gv|^2 there (1.8 MiB), with the previous
-    # axis's pair not yet released.  The GEMM kernel peaked at 20.7 MiB: it also held a
-    # phase table as wide as u's window and u's c_j e^{-2ijt} matrix, about 3 MiB each.
-    # 17 MiB leaves room for allocator detail, not for those two tables
-    basis = HermiteBasis(1, bilinear_min_K(64))
+@pytest.mark.parametrize("T", [math.pi, 7.0])
+@pytest.mark.parametrize("d,N,M", [(1, 16, 2), (1, 16, 16), (2, 16, 4), (2, 16, 16),
+                                   (3, 8, 2), (3, 8, 8)])
+def test_bilinear_raws_do_not_depend_on_the_block_size(monkeypatch, d, N, M, T):
+    # one node per block against the default buffer: every node's row is added to the
+    # running sum in node order either way
+    basis, w = HermiteBasis(1, bilinear_min_K(N, d) + 1), PWord.grad(1)
+    whole = derivative_bilinear_ratio(basis, d, w, PWord.identity(), N, M, T, 3, 2)["raws"]
+    monkeypatch.setattr(lab, "_SERIES_BLOCK", 1)
+    blocked = derivative_bilinear_ratio(basis, d, w, PWord.identity(), N, M, T, 3, 2)["raws"]
+    assert blocked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("N,M,trials,bound_mib", [(64, 2, 4, 17), (32, 32, 2, 8)])
+def test_bilinear_cell_memory_bounded(N, M, trials, bound_mib):
+    # d = 2 at seed 1.  The N = 64, M = 2 cell of 4 trials peaks at 4.5 MiB: v's rows on
+    # the 1380 nodes of the cell's rule, then the value table on the 362 candidate nodes
+    # (3.8 MiB) and one FFT buffer of _SERIES_BLOCK bytes.  With v's series as a GEMM it
+    # peaked at 14.7 MiB (per axis an FFT buffer on the support nodes x P and |gv|^2
+    # there), and before u's FFT at 20.7 MiB (a phase table as wide as u's window and
+    # u's c_j e^{-2ijt} matrix).  17 MiB leaves room for allocator detail, not for those
+    # tables.  The N = M = 32 cell peaked at 29.5 MiB with v's GEMM; it now takes 3.1 MiB
+    basis = HermiteBasis(1, bilinear_min_K(N))
     ident = PWord.identity()
     tracemalloc.start()
     try:
-        derivative_bilinear_ratio(basis, 2, ident, ident, 64, 2, math.pi, 4, 1)
+        derivative_bilinear_ratio(basis, 2, ident, ident, N, M, math.pi, trials, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 17 * 2 ** 20
+    assert peak < bound_mib * 2 ** 20
 
 
 def test_bilinear_trial_memory_bounded():
