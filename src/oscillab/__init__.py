@@ -6,8 +6,8 @@ The package provides, in layers:
   envelope-compensated weights, synthesis and projection transforms;
 * :mod:`oscillab.operators` — ladder words (gradients / coordinate multiplications),
   the Hamiltonian, Littlewood-Paley blocks, Sobolev norms and the I-operator;
-* :mod:`oscillab.solver` — Lie/Strang splitting for i u_t = H u + |u|^2 u with
-  conserved-quantity reporting and spillage tracking;
+* :mod:`oscillab.solver` — Strang splitting for i u_t = H u + |u|^2 u with a
+  recording driver, the conserved energy and spillage tracking;
 * :mod:`oscillab.lab` — quadrilinear identity checks, almost-orthogonality sweeps,
   bilinear space-time measurements, modified-energy and growth experiments;
 * :mod:`oscillab.cli` — the ``oscillab`` command-line experiment runner.
@@ -42,13 +42,9 @@ from .operators import (
     sobolev_norm,
 )
 from .solver import (
-    EnergyReport,
     SolverConfig,
     energy,
-    evolve,
     linear_propagator,
-    lie_step,
-    modified_energy,
     nonlinear_phase_step,
     run_recorded,
     strang_step,
@@ -82,9 +78,8 @@ __all__ = [
     "apply_P", "bernstein_ratio", "bernstein_ratios", "commutator_H_P",
     "i_multiplier", "littlewood_paley", "project_pi_mu", "sobolev_norm",
     # solver
-    "EnergyReport", "SolverConfig", "energy", "evolve", "linear_propagator",
-    "lie_step", "modified_energy", "nonlinear_phase_step", "run_recorded",
-    "strang_step",
+    "SolverConfig", "energy", "linear_propagator", "nonlinear_phase_step",
+    "run_recorded", "strang_step",
     # lab
     "QuadTuple", "ResonantTupleError", "ScalingFit", "almost_orthogonality_scan",
     "bilinear_min_K", "bilinear_strichartz_ratio", "derivative_bilinear_ratio",

@@ -157,8 +157,10 @@ def _mirrored_values(K_eval: int, nodes: np.ndarray) -> np.ndarray:
     """hermite_values_1d on a rule's nodes, evaluated on the nonnegative half only.
 
     The rule's nodes mirror exactly and h_k(-x) = (-1)^k h_k(x) holds bitwise for
-    the recurrence, so the mirrored half equals full evaluation bit for bit.  Rows are
-    written straight into the table: no half table is held beside it.
+    the recurrence, so every row below the rule's size Q equals full evaluation bit for
+    bit.  Row Q may not: h_Q's exact zeros at the roots can come out -0.0 mirrored and
+    +0.0 evaluated.  Rows are written straight into the table: no half table is held
+    beside it.
     """
     Q = nodes.size
     lo = Q // 2  # index of the first nonnegative node

@@ -1,4 +1,4 @@
-"""Split-step integrators for i u_t = H u + g |u|^2 u on the Hermite basis.
+"""Strang split-step integrator for i u_t = H u + g |u|^2 u on the Hermite basis.
 
 The linear flow is diagonal (coefficient m picks up e^{-i (2|m|+d) t}), so linear
 propagation is exact.  The nonlinear substep is evaluated in increment form
@@ -24,37 +24,30 @@ worth noting:
   factor's higher terms.  The per-step relative defect is tracked and the run is
   flagged (tainted) when it exceeds SPILL_TOL.
 
-One step body, _step, applies a Strang or Lie step in place; run_recorded drives it
-with a workspace and phase array built once per run, and strang_step and lie_step
-are one-step wrappers around it.
+One step body, _step, applies a Strang step L(dt/2) N(dt) L(dt/2) in place;
+run_recorded drives it with a workspace and half-step phase array built once per
+run, and strang_step is a one-step wrapper around it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hermite import HermiteBasis, SpectralField, _contract_planes, _pass_buffers, synthesize
-from .operators import IOperatorSpec, apply_I, sobolev_norm
 
 __all__ = [
     "SolverConfig",
-    "EnergyReport",
     "linear_propagator",
     "nonlinear_phase_step",
     "strang_step",
-    "lie_step",
-    "evolve",
     "run_recorded",
     "energy",
-    "modified_energy",
 ]
 
-# each scheme's linear substep, as a fraction of dt: L(dt/2) N(dt) L(dt/2) or N(dt) L(dt)
-_SCHEMES = {"strang": 0.5, "lie": 1.0}
 SPILL_TOL = 1e-8  # largest relative mass defect per step of an untainted run
 # largest |theta| of the phase's Taylor form: its first dropped terms, theta^7/5040 and
 # theta^8/40320, stay below 2^-53 relative to sin and cos - 1 (2e-22 and 4e-23 here)
@@ -65,28 +58,16 @@ _THETA_SERIES = 2.0 ** -10
 class SolverConfig:
     dt: float
     T: float
-    scheme: str = "strang"
     record_every: int = 10
     coupling: float = 1.0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
-        if self.T < 0:
-            raise ValueError("T must be >= 0")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {tuple(_SCHEMES)}, got {self.scheme!r}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        if not (math.isfinite(self.T) and self.T >= 0):
+            raise ValueError(f"T must be finite and >= 0, got {self.T!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-
-
-@dataclass
-class EnergyReport:
-    t: float
-    mass: float
-    energy: float
-    modified_energy: float
-    hs_norms: dict = field(default_factory=dict)
 
 
 def _phases(lam: np.ndarray, t: float) -> np.ndarray:
@@ -192,35 +173,24 @@ def nonlinear_phase_step(u: SpectralField, dt: float, coupling: float = 1.0) -> 
     return SpectralField(u.basis, c), defect
 
 
-def _step(c: np.ndarray, basis: HermiteBasis, scheme: str, phases: np.ndarray, dt: float,
-          coupling: float, work: _Workspace | None) -> tuple[float, float]:
-    """One step of `scheme` on the coefficients c, in place, given the factors of its
-    linear substep, phases = _phases(lam, _SCHEMES[scheme] * dt); returns (relative
-    mass defect, largest |theta|).  coupling = 0 skips the nonlinear substep and needs
-    no workspace."""
-    c *= phases
+def _step(c: np.ndarray, basis: HermiteBasis, half: np.ndarray, dt: float, coupling: float,
+          work: _Workspace | None) -> tuple[float, float]:
+    """One Strang step L(dt/2) N(dt) L(dt/2) on the coefficients c, in place, given the
+    half-step factors half = _phases(lam, 0.5 * dt); returns (relative mass defect,
+    largest |theta|).  coupling = 0 skips the nonlinear substep and needs no
+    workspace."""
+    c *= half
     out = _nl_increment(c, basis, dt, coupling, work) if coupling != 0.0 else (0.0, 0.0)
-    if scheme == "strang":
-        c *= phases
+    c *= half
     return out
-
-
-def _one_step(u: SpectralField, dt: float, scheme: str, coupling: float) -> tuple[SpectralField, float]:
-    c = u.coeffs.copy()
-    work = _Workspace(u.basis) if coupling != 0.0 else None
-    phases = _phases(u.basis.lambda_sq, _SCHEMES[scheme] * dt)
-    defect, _ = _step(c, u.basis, scheme, phases, dt, coupling, work)
-    return SpectralField(u.basis, c), defect
 
 
 def strang_step(u: SpectralField, dt: float, cfg: SolverConfig) -> tuple[SpectralField, float]:
     """One symmetric step L(dt/2) N(dt) L(dt/2)."""
-    return _one_step(u, dt, "strang", cfg.coupling)
-
-
-def lie_step(u: SpectralField, dt: float, cfg: SolverConfig) -> tuple[SpectralField, float]:
-    """One first-order step N(dt) L(dt)."""
-    return _one_step(u, dt, "lie", cfg.coupling)
+    c = u.coeffs.copy()
+    work = _Workspace(u.basis) if cfg.coupling != 0.0 else None
+    defect, _ = _step(c, u.basis, _phases(u.basis.lambda_sq, 0.5 * dt), dt, cfg.coupling, work)
+    return SpectralField(u.basis, c), defect
 
 
 def energy(u: SpectralField, coupling: float = 1.0) -> float:
@@ -237,22 +207,10 @@ def energy(u: SpectralField, coupling: float = 1.0) -> float:
     return quad + 0.25 * coupling * quart
 
 
-def modified_energy(u: SpectralField, spec: IOperatorSpec | None, coupling: float = 1.0) -> float:
-    """E(I u): the I-operator-dressed energy functional (spec = None means I = Id)."""
-    return energy(u if spec is None else apply_I(u, spec), coupling)
-
-
-def _report(u: SpectralField, t: float, ispec, s_values, coupling: float) -> EnergyReport:
-    mass = float(np.vdot(u.coeffs, u.coeffs).real)
-    e = energy(u, coupling)
-    me = modified_energy(u, ispec, coupling) if ispec is not None else e
-    hs = {float(s): sobolev_norm(u, float(s)) for s in s_values}
-    return EnergyReport(t=t, mass=mass, energy=e, modified_energy=me, hs_norms=hs)
-
-
 def run_recorded(u0: SpectralField, cfg: SolverConfig, on_record) -> dict:
-    """Drive the configured scheme, invoking on_record(t, field) at t = 0, every
-    cfg.record_every steps, and at t = T.  Returns the run diagnostics:
+    """Drive the Strang step, invoking on_record(t, field) at t = 0, every
+    cfg.record_every steps, and at t = T.  A run with T > 0 takes at least one step,
+    so it records t = T however small T is.  Returns the run diagnostics:
     n_steps, max_step_defect, tainted, and the telemetry drive_s (seconds spent in
     the stepping loop, records included), steps_per_s = n_steps / drive_s and
     max_theta, the largest nonlinear phase |dt g| |v|^2 of the run (it tells which
@@ -263,7 +221,7 @@ def run_recorded(u0: SpectralField, cfg: SolverConfig, on_record) -> dict:
     drive_s then times those evaluations.
     """
     basis = u0.basis
-    n_steps = max(int(math.ceil(cfg.T / cfg.dt - 1e-12)), 0)
+    n_steps = max(int(math.ceil(cfg.T / cfg.dt - 1e-12)), 1) if cfg.T > 0 else 0
     if cfg.coupling == 0.0:
         record_times = [0.0]
         record_times += [s * cfg.dt for s in range(cfg.record_every, n_steps, cfg.record_every)]
@@ -278,7 +236,7 @@ def run_recorded(u0: SpectralField, cfg: SolverConfig, on_record) -> dict:
     work = _Workspace(basis)
     max_defect = max_theta = 0.0
     t = 0.0
-    phases = _phases(basis.lambda_sq, _SCHEMES[cfg.scheme] * cfg.dt)
+    half = _phases(basis.lambda_sq, 0.5 * cfg.dt)
     t0 = time.perf_counter()
     for step in range(1, n_steps + 1):
         dt = cfg.dt
@@ -286,8 +244,8 @@ def run_recorded(u0: SpectralField, cfg: SolverConfig, on_record) -> dict:
         if t_next > cfg.T:  # the short last step
             dt = cfg.T - t
             t_next = cfg.T
-            phases = _phases(basis.lambda_sq, _SCHEMES[cfg.scheme] * dt)
-        defect, theta = _step(c, basis, cfg.scheme, phases, dt, cfg.coupling, work)
+            half = _phases(basis.lambda_sq, 0.5 * dt)
+        defect, theta = _step(c, basis, half, dt, cfg.coupling, work)
         max_defect = max(max_defect, defect)
         max_theta = max(max_theta, theta)
         t = t_next
@@ -307,22 +265,3 @@ def _diagnostics(n_steps: int, max_defect: float, tainted: bool, drive_s: float,
         "steps_per_s": n_steps / drive_s if drive_s > 0 else 0.0,
         "max_theta": max_theta,
     }
-
-
-def evolve(
-    u0: SpectralField,
-    cfg: SolverConfig,
-    ispec: IOperatorSpec | None = None,
-    s_values=(1.0,),
-) -> tuple[list[EnergyReport], dict]:
-    """Integrate to T, recording every cfg.record_every steps (plus t = 0 and t = T).
-
-    Returns (reports, diagnostics) with the diagnostics of run_recorded.
-    """
-    reports: list[EnergyReport] = []
-
-    def on_record(t, u_t):
-        reports.append(_report(u_t, t, ispec, s_values, cfg.coupling))
-
-    diagnostics = run_recorded(u0, cfg, on_record)
-    return reports, diagnostics

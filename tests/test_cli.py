@@ -6,10 +6,12 @@ runtime error, 2 completed-but-tainted run.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import oscillab
 from oscillab import cli, lab
 from oscillab.cli import (
     ConfigError,
@@ -427,8 +430,21 @@ def test_readme_python_api_example_runs(capsys):
     lines = _readme_lines()
     begin = lines.index("```python", lines.index("## Python API")) + 1
     exec("\n".join(lines[begin:lines.index("```", begin)]), {})
-    residual, _ = capsys.readouterr().out.splitlines()
+    residual, run = capsys.readouterr().out.splitlines()
     assert float(residual) < 1e-13  # the comment there says ~ 1e-14
+    mass, tainted = run.split()
+    assert float(mass) == pytest.approx(0.25, rel=1e-9)
+    assert tainted == "False"
+
+
+def test_every_exported_name_resolves():
+    # a name left in an __all__ after its definition is deleted fails here, not at
+    # a user's `from oscillab import *`
+    modules = [oscillab] + [importlib.import_module(f"oscillab.{m.name}")
+                            for m in pkgutil.iter_modules(oscillab.__path__)]
+    assert [m.__name__ for m in modules if not hasattr(m, "__all__")] == ["oscillab.__main__"]
+    exported = [(m, name) for m in modules for name in getattr(m, "__all__", ())]
+    assert [f"{m.__name__}.{name}" for m, name in exported if not hasattr(m, name)] == []
 
 
 def test_failed_manifest_write_keeps_the_previous_output(tmp_path, monkeypatch, capsys):
@@ -647,10 +663,15 @@ def test_conservation_csv_columns(tmp_path):
     cfg_path = _write(tmp_path, text)
     out = tmp_path / "c"
     assert main(["run", cfg_path, "--output-dir", str(out)]) == 0
-    header = (out / "results.csv").read_text().splitlines()[0]
+    header, *rows = (out / "results.csv").read_text().splitlines()
     assert header == "t,mass,energy,modified_energy,hs_norm_s"
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert len(rows) == summary["n_records"] == 6  # t = 0, every 10 of 50 steps
+    # E(I u) with I = Id: the modified_energy column is the energy column, bit for bit
+    cells = [row.split(",") for row in rows]
+    assert [c[3] for c in cells] == [c[2] for c in cells]
     # solver telemetry goes to the manifest only
-    diag = json.loads((out / "manifest.json").read_text())["summary"]["diagnostics"]
+    diag = summary["diagnostics"]
     assert diag["steps_per_s"] == pytest.approx(diag["n_steps"] / diag["drive_s"])
 
 

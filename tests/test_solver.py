@@ -17,18 +17,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oscillab import (
-    EnergyReport,
     HermiteBasis,
     IOperatorSpec,
     SolverConfig,
     SpectralField,
+    apply_I,
     energy,
-    evolve,
-    lie_step,
     linear_propagator,
-    modified_energy,
     nonlinear_phase_step,
     run_recorded,
+    sobolev_norm,
     strang_step,
 )
 from oscillab.solver import _THETA_SERIES, _nl_increment, _phase_increment, _Workspace
@@ -48,9 +46,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, T=1.0, scheme="rk4")
-    with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T=1.0, record_every=0)
+    # a non-finite time is refused by name, not in math.ceil or by a run of no steps
+    for key in ("dt", "T"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{key} must be finite"):
+                SolverConfig(**{"dt": 0.1, "T": 1.0, key: value})
 
 
 def test_linear_propagator_mode_phase():
@@ -266,22 +267,11 @@ def test_strang_is_second_order():
     assert 3.4 < e1 / e2 < 4.7
 
 
-def test_lie_is_first_order():
-    basis = HermiteBasis(1, 10)
-    u0 = _packet(basis, seed=7, scale=0.3)
-    cfg = SolverConfig(dt=1.0, T=1.0)
-    ref = _reference_solution(u0, 0.5, cfg)
-    e1 = _global_error(lie_step, u0, 1.0 / 16.0, 0.5, cfg, ref)
-    e2 = _global_error(lie_step, u0, 1.0 / 32.0, 0.5, cfg, ref)
-    assert 1.7 < e1 / e2 < 2.3
-
-
-@pytest.mark.parametrize("scheme,step_fn", [("strang", strang_step), ("lie", lie_step)])
 @pytest.mark.parametrize("T", [0.05, 0.0537])  # 0.0537 ends on a short step of 0.0037
-def test_step_wrappers_match_run_recorded_bitwise(scheme, step_fn, T):
+def test_step_wrappers_match_run_recorded_bitwise(T):
     basis = HermiteBasis(2, 8)
     u0 = _packet(basis, seed=16, scale=1.0)
-    cfg = SolverConfig(dt=0.01, T=T, scheme=scheme, record_every=10**9)
+    cfg = SolverConfig(dt=0.01, T=T, record_every=10**9)
     records = []
     diag = run_recorded(u0, cfg, lambda t, u: records.append((t, u.coeffs)))
     u, t, defects = u0, 0.0, []
@@ -289,7 +279,7 @@ def test_step_wrappers_match_run_recorded_bitwise(scheme, step_fn, T):
         dt, t_next = cfg.dt, step * cfg.dt
         if t_next > cfg.T:
             dt, t_next = cfg.T - t, cfg.T
-        u, defect = step_fn(u, dt, cfg)
+        u, defect = strang_step(u, dt, cfg)
         defects.append(defect)
         t = t_next
     assert diag["n_steps"] == math.ceil(T / cfg.dt - 1e-12)
@@ -306,22 +296,11 @@ def test_step_wrappers_with_zero_coupling_are_the_linear_substeps():
     u, defect = strang_step(u0, cfg.dt, cfg)
     assert defect == 0.0
     assert u.coeffs.tobytes() == (u0.coeffs * half * half).tobytes()
-    u, defect = lie_step(u0, cfg.dt, cfg)
-    assert defect == 0.0
-    assert u.coeffs.tobytes() == (u0.coeffs * np.exp(-1j * basis.lambda_sq * cfg.dt)).tobytes()
     assert "rule" not in vars(basis)  # no workspace, so the grid is never built
 
 
-def test_modified_energy_reduces_to_energy():
-    basis = HermiteBasis(1, 12)
-    u = _packet(basis, seed=8)
-    assert modified_energy(u, None) == energy(u)
-    spec = IOperatorSpec(N=64, s=2.0)  # multiplier is 1 on every occupied shell
-    assert modified_energy(u, spec) == pytest.approx(energy(u), rel=1e-15)
-
-
 @pytest.mark.parametrize("coupling", [0.0, 3.0, -2.0])
-def test_evolve_reports_the_energy_of_its_coupling(coupling):
+def test_recorded_energy_is_the_energy_of_its_coupling(coupling):
     # E_g = quadratic part + g/4 quartic part is what the flow of coupling g conserves;
     # the coupling-1 energy drifts along that flow by the O(1e-3) quartic change
     basis = HermiteBasis(2, 12)
@@ -329,13 +308,19 @@ def test_evolve_reports_the_energy_of_its_coupling(coupling):
     quad, quart = energy(u0, 0.0), energy(u0, 1.0) - energy(u0, 0.0)
     assert energy(u0, coupling) == pytest.approx(quad + coupling * quart, rel=1e-14)
     cfg = SolverConfig(dt=0.005, T=0.5, record_every=20, coupling=coupling)
-    reports, _ = evolve(u0, cfg, ispec=IOperatorSpec(N=2, s=1.5))
-    assert reports[0].energy == energy(u0, coupling)
-    assert max(abs(r.energy - reports[0].energy) for r in reports) < 2e-5  # splitting error
-    assert max(abs(r.modified_energy - reports[0].modified_energy) for r in reports) > 0.0
-    e1 = []
-    run_recorded(u0, cfg, lambda t, u: e1.append(energy(u)))
-    assert max(abs(e - e1[0]) for e in e1) > 1e-3
+    spec = IOperatorSpec(N=2, s=1.5)
+    e, e_mod, e1 = [], [], []
+
+    def on_record(t, u):
+        e.append(energy(u, coupling))
+        e_mod.append(energy(apply_I(u, spec), coupling))
+        e1.append(energy(u))
+
+    run_recorded(u0, cfg, on_record)
+    assert e[0] == energy(u0, coupling)
+    assert max(abs(v - e[0]) for v in e) < 2e-5  # splitting error
+    assert max(abs(v - e_mod[0]) for v in e_mod) > 0.0
+    assert max(abs(v - e1[0]) for v in e1) > 1e-3
 
 
 def test_run_recorded_linear_branch_exact():
@@ -368,19 +353,37 @@ def test_run_recorded_cadence_and_endpoint():
     assert diag["max_theta"] > 0.0
 
 
-def test_evolve_reports_conserved_mass():
+@pytest.mark.parametrize("coupling", [0.0, 1.0])
+def test_run_recorded_records_T_however_small(coupling):
+    # T / dt = 2e-13 rounds to no step; both branches must still record t = T
+    basis = HermiteBasis(1, 8)
+    u0 = _packet(basis, seed=19)
+    cfg = SolverConfig(dt=0.005, T=1e-15, coupling=coupling)
+    times = []
+    diag = run_recorded(u0, cfg, lambda t, u: times.append(t))
+    assert times == [0.0, 1e-15]
+    assert diag["n_steps"] == 1
+    assert not diag["tainted"]
+
+
+def test_run_recorded_conserves_mass():
     basis = HermiteBasis(2, 12)
     u0 = _packet(basis, seed=11)
     cfg = SolverConfig(dt=0.005, T=0.5, record_every=20)
-    reports, diag = evolve(u0, cfg, s_values=(1.0, 2.0))
-    assert isinstance(reports[0], EnergyReport)
+    records = []
+
+    def on_record(t, u):
+        mass = float(np.vdot(u.coeffs, u.coeffs).real)
+        records.append((mass, energy(u), {s: sobolev_norm(u, s) for s in (1.0, 2.0)}))
+
+    diag = run_recorded(u0, cfg, on_record)
     assert not diag["tainted"]
-    m0 = reports[0].mass
-    for rep in reports:
-        assert rep.mass == pytest.approx(m0, rel=2e-7)
-        assert set(rep.hs_norms) == {1.0, 2.0}
+    m0 = records[0][0]
+    for mass, _, hs_norms in records:
+        assert mass == pytest.approx(m0, rel=2e-7)
+        assert 0.0 < hs_norms[1.0] < hs_norms[2.0]
     # energy drift at this dt stays small but nonzero
-    drift = abs(reports[-1].energy - reports[0].energy)
+    drift = abs(records[-1][1] - records[0][1])
     assert drift < 1e-6
 
 
@@ -394,8 +397,9 @@ def test_strang_energy_drift_shrinks_fourfold():
 
     def drift(dt):
         cfg = SolverConfig(dt=dt, T=1.0, record_every=10**9)
-        reports, _ = evolve(u0, cfg)
-        return abs(reports[-1].energy - reports[0].energy)
+        e = []
+        run_recorded(u0, cfg, lambda t, u: e.append(energy(u)))
+        return abs(e[-1] - e[0])
 
     ratio = drift(0.04) / drift(0.02)
     assert 3.2 < ratio < 4.8
