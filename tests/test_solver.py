@@ -47,11 +47,14 @@ def test_config_validation():
         SolverConfig(dt=0.1, T=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T=1.0, record_every=0)
-    # a non-finite time is refused by name, not in math.ceil or by a run of no steps
-    for key in ("dt", "T"):
-        for value in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError, match=f"^{key} must be finite"):
-                SolverConfig(**{"dt": 0.1, "T": 1.0, key: value})
+
+
+@pytest.mark.parametrize("key", ["dt", "T"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_config_refuses_a_non_finite_time_by_name(value, key):
+    # refused by name, not later in math.ceil or by a run of no steps
+    with pytest.raises(ValueError, match=f"^{key} must be finite"):
+        SolverConfig(**{"dt": 0.1, "T": 1.0, key: value})
 
 
 def test_linear_propagator_mode_phase():
