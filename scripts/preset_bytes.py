@@ -11,9 +11,11 @@ is run the same way as written, after the presets; scripts/configs/ holds the
 configs of README's Determinism section.  Prints per run whether results.csv is
 byte-identical and whether the manifest's resolved_config, defaults_applied and
 derived blocks are equal; exits 1 on any difference.  A run that fails or whose
-exit code differs counts as a difference.  Where results.csv
-differs, prints per column the cells that differ and, over its numeric cells, the
-largest absolute move and the largest relative move off nonzero base cells.
+exit code differs counts as a difference.  Where results.csv differs, prints the
+columns that only one side has and, per column of both (matched by name), the
+cells that differ and, over its numeric cells, the largest absolute move and the
+largest relative move off nonzero base cells.  Where a manifest block differs,
+prints each differing key path with both values, as `resolved_config.K: 1954 -> None`.
 """
 
 import argparse
@@ -52,13 +54,19 @@ def run_config(tree: Path, cwd: Path, text: str):
 
 
 def column_moves(base: bytes, change: bytes) -> list[str]:
-    """One line per column whose cells differ between two results.csv files."""
+    """One line per column that only one of two results.csv files has, and one per
+    column of both, matched by name, whose cells differ."""
     rows_b, rows_c = (list(csv.reader(io.StringIO(b.decode("utf-8")))) for b in (base, change))
-    if len(rows_b) != len(rows_c) or rows_b[0] != rows_c[0]:
-        return [f"  header or row count differs ({len(rows_b) - 1} / {len(rows_c) - 1} rows)"]
-    lines = []
+    if len(rows_b) != len(rows_c):
+        return [f"  row count differs ({len(rows_b) - 1} / {len(rows_c) - 1} rows)"]
+    lines = [f"  {name}: only in the {side}" for side, head, other in (
+        ("base", rows_b[0], rows_c[0]), ("change", rows_c[0], rows_b[0]))
+        for name in head if name not in other]
     for j, name in enumerate(rows_b[0]):
-        pairs = [(b[j], c[j]) for b, c in zip(rows_b[1:], rows_c[1:]) if b[j] != c[j]]
+        if name not in rows_c[0]:
+            continue
+        k = rows_c[0].index(name)
+        pairs = [(b[j], c[k]) for b, c in zip(rows_b[1:], rows_c[1:]) if b[j] != c[k]]
         if not pairs:
             continue
         abs_move = rel_move = 0.0
@@ -73,6 +81,24 @@ def column_moves(base: bytes, change: bytes) -> list[str]:
         lines.append(f"  {name}: {len(pairs)} of {len(rows_b) - 1} cells differ, largest move "
                      f"{abs_move:.3g} absolute, {rel_move:.3g} relative")
     return lines
+
+
+class _Absent:
+    def __repr__(self) -> str:
+        return "<absent>"
+
+
+ABSENT = _Absent()
+
+
+def key_moves(base, change, path: str) -> list[str]:
+    """One line per key path under `path` whose values differ between two manifest
+    blocks: `path: base -> change`, a key missing on one side shown as <absent>."""
+    if isinstance(base, dict) and isinstance(change, dict):
+        return [line for key in sorted(base.keys() | change.keys())
+                for line in key_moves(base.get(key, ABSENT), change.get(key, ABSENT),
+                                      f"{path}.{key}")]
+    return [] if base == change else [f"  {path}: {base!r} -> {change!r}"]
 
 
 def main() -> None:
@@ -102,6 +128,9 @@ def main() -> None:
                   f"manifest {'equal' if same_man else 'different'} (exit {rc_b}/{rc_c})")
             if csv_b is not None and csv_c is not None and not same_csv:
                 print("\n".join(column_moves(csv_b, csv_c)))
+            if man_b is not None and man_c is not None and not same_man:
+                print("\n".join(line for block in BLOCKS
+                                 for line in key_moves(man_b[block], man_c[block], block)))
     if differ:
         sys.exit(f"error: {differ} of {len(runs)} runs differ")
 

@@ -1,9 +1,9 @@
 """Configuration-driven experiment runner.
 
-A run is described by a JSON object or by ``key = value`` lines (``#`` starts a
-comment).  Its keys are ``experiment``, ``seed``, ``output_dir`` and the keys of the
-experiment's row in EXPERIMENTS, which also holds their presets.  Every run writes
-two files into the output directory:
+A run is described by a JSON object or by ``key = value`` lines (``#`` outside a
+quoted value starts a comment), each key given once.  Its keys are ``experiment``,
+``seed``, ``output_dir`` and the keys of the experiment's row in EXPERIMENTS, which
+also holds their presets.  Every run writes two files into the output directory:
 
 * ``results.csv`` — long-format table with a fixed column set per experiment;
   floats are written with shortest round-trip formatting, so the file is
@@ -39,6 +39,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -133,19 +134,33 @@ _CHECKS = {
 }
 
 
+# a key = value line up to its first '#' outside a double-quoted (JSON) string
+_LINE_BODY = re.compile(r'(?:"(?:\\.|[^"\\])*"?|[^"#])*')
+
+
+def _unique_keys(pairs) -> dict:
+    """The (key, value) pairs as a dict; a key given twice is refused, named."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(key, f"key {key!r} is given twice")
+        data[key] = value
+    return data
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse UTF-8 config text (JSON object or key=value lines) and validate it."""
     if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError("<json>", f"invalid JSON config: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("<json>", "top-level JSON value must be an object")
     else:
-        data = {}
+        pairs = []
         for line_no, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
+            body = _LINE_BODY.match(line).group().strip()
             if not body:
                 continue
             if "=" not in body:
@@ -153,12 +168,12 @@ def parse_config(text: str) -> ExperimentConfig:
                     f"<line {line_no}>", f"expected 'key = value', got {body!r}"
                 )
             key, _, value = body.partition("=")
-            key = key.strip()
             value = value.strip()
             try:
-                data[key] = json.loads(value)
+                pairs.append((key.strip(), json.loads(value)))
             except json.JSONDecodeError:
-                data[key] = value
+                pairs.append((key.strip(), value))
+        data = _unique_keys(pairs)
     return _config_from_dict(data, text)
 
 
@@ -226,6 +241,8 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
     d, K, s, N_list, M_list, dt, T = (resolved[k] for k in ("d", "K", "s", "N_list", "M_list", "dt", "T"))
     if cfg.experiment in ("energy_increment", "bernstein") and any(N & (N - 1) for N in N_list):
         raise ConfigError("N_list", f"N_list must hold powers of two, got {N_list}")
+    if cfg.experiment == "energy_increment" and len(set(N_list)) < len(N_list):
+        raise ConfigError("N_list", f"N_list must not repeat an N, got {N_list}")
     if cfg.experiment == "energy_increment" and not s > 1.0:
         raise ConfigError("s", f"s must be > 1 for energy_increment, got {s}")
     if cfg.experiment == "identity_k1" and d == 1 and K > _IDENTITY_EXHAUSTIVE_K_CAP:
@@ -233,17 +250,13 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
                           f"{_IDENTITY_EXHAUSTIVE_K_CAP}; use d >= 2 for sampled tuples")
     if dt is not None and T / dt > _MAX_STEPS:
         raise ConfigError("dt", f"T / dt = {T / dt:.3g} steps exceeds {_MAX_STEPS:.0e}")
-    if "M_list" in preset:  # bilinear: 1-D tables; a cell's value table is largest
+    if cfg.experiment in _BILINEAR_WORDS:  # 1-D tables; a cell's value table is largest
         if min(N_list) < max(M_list):
             raise ConfigError("M_list", f"M_list must not exceed min(N_list) = {min(N_list)} "
                               f"(u carries the high frequency), got {M_list}")
-        word_a = preset["K"].keywords["word_a"]  # the row's word on u; v's is empty
-        top = _bilinear_K(resolved, word_a)  # the highest degree of any window after its word
-        if K < top:
-            raise ConfigError("K", f"K = {K} is below {top}, the degree that holds every packet "
-                              "draw of N_list and M_list and its word")
-        Q = top + bilinear_min_K(max(M_list), d) + 1  # bounds top_u + top_v + 1, the cell's rule
-        key, size, what = "N_list", 8 * Q * (top + 1), f"a value table of {top + 1} x {Q}"
+        K = _bilinear_K(resolved, _BILINEAR_WORDS[cfg.experiment][0])  # the run's basis degree
+        Q = K + bilinear_min_K(max(M_list), d) + 1  # bounds top_u + top_v + 1, the cell's rule
+        key, size, what = "N_list", 8 * Q * (K + 1), f"a value table of {K + 1} x {Q}"
     elif cfg.experiment == "identity_k1":  # 1-D tables; 4 value and 3 derivative rows per tuple
         size = 8 * (K + HEADROOM + 1) * (2 * K + 2) + 8 * 7 * _TUPLE_BLOCK * (K + 1)
         key, what = "K", (f"a {K + HEADROOM + 1} x {2 * K + 2} value table and a gather of "
@@ -253,9 +266,9 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
     if size > _MAX_ARRAY_BYTES:
         raise ConfigError(key, f"{key} = {resolved[key]} gives {what}, {size / 2 ** 30:.3g} GiB, "
                           f"over the {_MAX_ARRAY_BYTES // 2 ** 30} GiB bound")
-    if K + HEADROOM > HARD_CAP_K_EVAL:
-        raise ConfigError("K", f"K = {K} is over the largest basis degree, "
-                          f"{HARD_CAP_K_EVAL - HEADROOM}")
+    if K + HEADROOM > HARD_CAP_K_EVAL:  # key: K, or N_list for the bilinear rows
+        raise ConfigError(key, f"{key} = {resolved[key]} asks for degree {K}, over the largest "
+                          f"basis degree, {HARD_CAP_K_EVAL - HEADROOM}")
     return resolved, defaults
 
 
@@ -345,20 +358,11 @@ def _write_csv(path: str, table: dict) -> int:
     return n_rows
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+def _json_default(obj):
+    """json.dump's hook for numpy values: an array as a list, a scalar as a Python one."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _fit_summary(fit):
@@ -428,17 +432,18 @@ def _run_orthogonality(resolved: dict, threads: int) -> DriverResult:
 
 
 def _bilinear_K(resolved: dict, word_a: PWord) -> int:
-    """The smallest K that holds every packet draw and its word (word_b is the identity)."""
+    """The degree that holds every packet draw and its word (word_b is the identity)."""
     N = max(max(resolved["N_list"]), max(resolved["M_list"]))
     return bilinear_min_K(N, resolved["d"]) + word_a.order
 
 
 def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
     word_b = PWord.identity()
-    d, K, seed = resolved["d"], resolved["K"], resolved["seed"]
+    d, seed = resolved["d"], resolved["seed"]
     N_list, M_list = resolved["N_list"], resolved["M_list"]
     T, trials = resolved["T"], resolved["trials"]
-    axis_basis = HermiteBasis(1, K)  # caps the draws; each cell builds its own rule
+    # its degree holds the draws and is checked against them; each cell builds its own rule
+    axis_basis = HermiteBasis(1, _bilinear_K(resolved, word_a))
     cells = [(int(N), int(M)) for M in M_list for N in N_list]
     results = _map_cells(lambda nm: derivative_bilinear_ratio(
         axis_basis, d, word_a, word_b, *nm, T, trials, seed), cells, threads)
@@ -462,7 +467,7 @@ def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
         per_M[str(M)] = entry
     summary = {"per_M": per_M, "word_a": _word_label(word_a), "word_b": _word_label(word_b),
                "seconds_by_cell": {f"N={N},M={M}": by_cell[(N, M)]["seconds"] for N, M in cells}}
-    derived = {"K": K, "K_needed": _bilinear_K(resolved, word_a),
+    derived = {"K": axis_basis.K,
                **{f"{key}_by_cell": {f"N={N},M={M}": by_cell[(N, M)][key] for N, M in cells}
                   for key in ("normalization", "Q", "P")}}
     return DriverResult(table, summary, derived, [])
@@ -488,18 +493,9 @@ def _run_bernstein(resolved: dict, threads: int) -> DriverResult:
     words = _all_words_up_to_order2(d)
     Ns = sorted({int(N) for N in N_list})
     draws = {N: bernstein_draws(basis, N, trials, seed) for N in Ns}
-    by_first = {}  # words that share a first letter share its image
-    for _, word in words:
-        by_first.setdefault(word.letters[:1], []).append(word)
-    cells = [(N, group) for N in Ns for group in by_first.values()]
-
-    def cell(args):
-        N, group = args
-        return bernstein_ratios(basis, group, N, trials, seed, draws[N])
-
-    ratio = {}
-    for (N, group), ratios in zip(cells, _map_cells(cell, cells, threads)):
-        ratio.update(((N, word), r) for word, r in zip(group, ratios))
+    ratios = _map_cells(lambda N: bernstein_ratios(
+        basis, [word for _, word in words], N, trials, seed, draws[N]), Ns, threads)
+    ratio = {(N, word): r for N, rs in zip(Ns, ratios) for (_, word), r in zip(words, rs)}
     rows = [(label, word, int(N)) for (label, word) in words for N in N_list]
     table = {"N": [N for _, _, N in rows], "word": [label for label, _, _ in rows],
              "ratio": [ratio[(N, word)] for _, word, N in rows]}
@@ -651,10 +647,8 @@ def _run_conservation(resolved: dict, threads: int) -> DriverResult:
         hs_norms.append(sobolev_norm(u_t, float(s)))
 
     diagnostics = run_recorded(u0, cfg, on_record)
-    e = np.array(energies, dtype=float)
-    # modified_energy is E(I u) with I = Id: the energy column itself
     table = {"t": np.array(times, dtype=float), "mass": np.array(masses, dtype=float),
-             "energy": e, "modified_energy": e, "hs_norm_s": np.array(hs_norms, dtype=float)}
+             "energy": np.array(energies, dtype=float), "hs_norm_s": np.array(hs_norms, dtype=float)}
     summary = {
         "mass_drift_rel": max(abs(m - masses[0]) for m in masses) / masses[0],
         "energy_drift": max(abs(v - energies[0]) for v in energies),
@@ -670,11 +664,14 @@ def _run_conservation(resolved: dict, threads: int) -> DriverResult:
     return DriverResult(table, summary, derived, taints)
 
 
-def _bilinear_row(word_a: PWord, description: str) -> tuple:
-    preset = dict(d=2, K=partial(_bilinear_K, word_a=word_a), N_list=[4, 8, 16, 32, 64],
-                  M_list=[2], T=math.pi, trials=32)
-    return partial(_run_bilinear, word_a=word_a), description, preset
-
+# the bilinear rows: name -> (the word on u, v's being the identity; description).  Their
+# windows fix every degree a cell needs, so they read no K.
+_BILINEAR_WORDS = {
+    "bilinear": (PWord.identity(),
+                 "bilinear space-time norms of wave-packet pairs across dyadic windows"),
+    "bilinear_derivative": (PWord.grad(axis=1),
+                            "bilinear norms with a gradient word on the high-frequency factor"),
+}
 
 # name -> (driver, description, preset).  The preset holds exactly the optional keys the
 # experiment reads, with their defaults; a callable default is derived from the others.
@@ -683,10 +680,9 @@ EXPERIMENTS: dict[str, tuple] = {
                     dict(d=1, K=16, trials=64)),
     "orthogonality": (_run_orthogonality, "decay of the quadrilinear form in the separated eigenvalue",
                       dict(d=1, K=64, trials=4)),
-    "bilinear": _bilinear_row(
-        PWord.identity(), "bilinear space-time norms of wave-packet pairs across dyadic windows"),
-    "bilinear_derivative": _bilinear_row(
-        PWord.grad(axis=1), "bilinear norms with a gradient word on the high-frequency factor"),
+    **{name: (partial(_run_bilinear, word_a=word), description,
+              dict(d=2, N_list=[4, 8, 16, 32, 64], M_list=[2], T=math.pi, trials=32))
+       for name, (word, description) in _BILINEAR_WORDS.items()},
     "bernstein": (_run_bernstein, "ladder-word operator norms on dyadic windows vs N^order",
                   dict(d=1, K=_bernstein_K, N_list=[4, 8, 16, 32, 64], trials=8)),
     "energy_increment": (_run_energy_increment, "modified-energy increments across I-operator cutoffs",
@@ -732,7 +728,7 @@ def run(cfg: ExperimentConfig, output_dir: str | None = None,
             "wall_time_s": time.perf_counter() - t_start,
         }
         with open(tmp["manifest.json"], "w", encoding="utf-8") as f:
-            json.dump(_jsonable(manifest), f, sort_keys=True, indent=2)
+            json.dump(manifest, f, sort_keys=True, indent=2, default=_json_default)
             f.write("\n")
         for name, path in final.items():
             os.replace(tmp[name], path)
@@ -792,10 +788,8 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
         if args.command == "validate":
             resolved, defaults_applied = _resolve(cfg)
-            print(json.dumps(
-                _jsonable({"resolved_config": resolved, "defaults_applied": defaults_applied}),
-                sort_keys=True, indent=2,
-            ))
+            print(json.dumps({"resolved_config": resolved, "defaults_applied": defaults_applied},
+                             sort_keys=True, indent=2, default=_json_default))
             return 0
     except ConfigError as exc:
         print(f"config error [{exc.key}]: {exc}", file=sys.stderr)

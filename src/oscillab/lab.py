@@ -299,21 +299,18 @@ def almost_orthogonality_scan(
 # Bilinear space-time measurements on wave-packet data
 # ---------------------------------------------------------------------------
 
-def _coherent_axis(alpha: complex, K_cap: int) -> tuple[int, np.ndarray]:
+def _coherent_axis(alpha: complex) -> tuple[int, np.ndarray]:
     """Clipped coherent-state coefficient window on one axis: (start degree, coeffs).
 
     The clip B = min(5 sqrt(nbar) + 3, 0.45 nbar + 1) keeps the tensor product
     inside the dyadic window of its nominal frequency for every N >= 4 (the
     0.45 nbar branch caps the total degree sum; see the window containment note
-    in derivative_bilinear_ratio).
+    in derivative_bilinear_ratio).  B >= 1, so the window always holds a degree.
     """
     nbar = abs(alpha) ** 2
     B = min(5.0 * math.sqrt(nbar) + 3.0, 0.45 * nbar + 1.0)
     lo = max(0, int(math.ceil(nbar - B)))
-    hi = min(K_cap, int(math.floor(nbar + B)))
-    if hi < lo:
-        lo, hi = 0, 0
-    m = np.arange(lo, hi + 1)
+    m = np.arange(lo, int(math.floor(nbar + B)) + 1)
     if nbar <= 1e-12:
         c = np.zeros(m.size, dtype=complex)
         c[0] = 1.0
@@ -329,7 +326,7 @@ def _split_fractions(rng, d: int) -> np.ndarray:
     return th / th.sum()
 
 
-def _draw_packet_pair(rng, d: int, N: int, M: int, T: float, K_cap: int):
+def _draw_packet_pair(rng, d: int, N: int, M: int, T: float):
     """Random aimed wave-packet pair (u at frequency N, v at frequency M).
 
     v is a random packet in the Delta_M window; u is a packet whose classical
@@ -343,7 +340,7 @@ def _draw_packet_pair(rng, d: int, N: int, M: int, T: float, K_cap: int):
         r2 = max(th * M * M - 1.0, 0.0)
         a = math.sqrt(r2 / 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         v_alpha.append(a)
-        v_axes.append(_coherent_axis(a, K_cap))
+        v_axes.append(_coherent_axis(a))
     t_hit = rng.uniform(0.1 * T, 0.9 * T)
     th_u = _split_fractions(rng, d)
     u_axes = []
@@ -352,7 +349,7 @@ def _draw_packet_pair(rng, d: int, N: int, M: int, T: float, K_cap: int):
         r2 = max(th * N * N - 1.0 - p * p, 0.0)
         xi = rng.choice(np.array([-1.0, 1.0])) * math.sqrt(r2)
         a0 = ((p + 1j * xi) / math.sqrt(2.0)) * np.exp(2j * t_hit)
-        u_axes.append(_coherent_axis(a0, K_cap))
+        u_axes.append(_coherent_axis(a0))
     return u_axes, v_axes
 
 
@@ -414,8 +411,8 @@ def derivative_bilinear_ratio(
 
         N^{|word_a|} M^{|word_b|} M^{(d-1)/2} N^{-1/2}.
 
-    `basis` is a 1-D axis basis (packets tensorize, so all grid work is 1-D) and
-    supplies only its degree: basis.K >= bilinear_min_K(max(N, M), d) caps the draws.
+    `basis` is a 1-D axis basis (packets tensorize, so all grid work is 1-D); only its
+    degree is read, checked to hold every draw after its word, and no value depends on it.
     Returns per-trial raw norms and ratios plus their max, the cell's rule sizes
     Q (space) and P (time), and its seconds in nodes, sweep and kernel.
 
@@ -442,19 +439,17 @@ def derivative_bilinear_ratio(
         raise ValueError("expect N >= M (u carries the high frequency)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    max_ord = max(word_a.order, word_b.order)
-    need = bilinear_min_K(max(N, M), d) + max_ord
+    need = bilinear_min_K(max(N, M), d) + max(word_a.order, word_b.order)
     if basis.K < need:
         raise ValueError(f"basis.K = {basis.K} too small; need >= {need} for N = {N}")
     for word in (word_a, word_b):
         for _, ax in word.letters:
             if ax > d:
                 raise ValueError(f"word axis {ax} exceeds dimension {d}")
-    K_draw = basis.K - max_ord  # ladder letters raise the top degree by one each
     pairs = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, N, M, trial)))
-        u_axes, v_axes = _draw_packet_pair(rng, d, N, M, T, K_draw)
+        u_axes, v_axes = _draw_packet_pair(rng, d, N, M, T)
         for word, axes in ((word_a, u_axes), (word_b, v_axes)):
             for letter, ax in word.letters:  # each axis's letters in word order
                 m0, c = axes[ax - 1]

@@ -60,10 +60,17 @@ def test_parse_key_value_and_json_agree():
     assert kv.T == 3.5
 
 
-def test_parse_config_ignores_comments_and_blanks():
-    cfg = parse_config("# a comment\n\nexperiment = identity_k1\nseed = 1\n")
-    assert cfg.experiment == "identity_k1"
-    assert cfg.seed == 1
+@pytest.mark.parametrize("text,field,value", [
+    ("# a comment\n\nexperiment = identity_k1\nseed = 1\n", "experiment", "identity_k1"),
+    ("experiment = bilinear  # note\nseed = 1\n", "experiment", "bilinear"),
+    ("experiment = bilinear\nseed = 1\nN_list = [4, 8] # note\n", "N_list", [4, 8]),
+    # a '#' inside a quoted value is kept; one after it starts a comment
+    ('experiment = bilinear\nseed = 1\noutput_dir = "runs/#1"  # "a" note\n', "output_dir", "runs/#1"),
+    ('experiment = bilinear\nseed = 1\noutput_dir = "a\\"#b"\n', "output_dir", 'a"#b'),
+    ('{"experiment": "bilinear", "seed": 1, "output_dir": "runs/#1"}', "output_dir", "runs/#1"),
+])
+def test_parse_config_ignores_comments_and_blanks(text, field, value):
+    assert getattr(parse_config(text), field) == value
 
 
 def test_unknown_key_is_named_in_error():
@@ -101,10 +108,14 @@ def test_unknown_experiment_rejected():
         ("K = true", "K"),
         ("N_list = [4, 0]", "N_list"),
         ("N_list = 4", "N_list"),
+        ("K = 10\nK = 20", "K"),  # a key given twice, not its last value
+        ('{"experiment": "identity_k1", "seed": 1, "K": 10, "K": 20}', "K"),
     ],
 )
 def test_range_and_type_validation(line, key):
-    if key == "seed":
+    if line.startswith("{"):  # a whole JSON config
+        text = line
+    elif key == "seed":
         text = "experiment = identity_k1\n" + line + "\n"
     else:
         text = "experiment = identity_k1\nseed = 1\n" + line + "\n"
@@ -205,6 +216,7 @@ def _refuse_to_drive(monkeypatch):
 @pytest.mark.parametrize("text,key", [
     ("experiment = energy_increment\nN_list = [3, 5]\n", "N_list"),
     ("experiment = energy_increment\nN_list = [4, 8, 12]\n", "N_list"),
+    ("experiment = energy_increment\nN_list = [2, 2, 4]\n", "N_list"),  # an N twice
     ("experiment = energy_increment\ns = 0.5\n", "s"),
     ("experiment = energy_increment\ns = 1\n", "s"),
     ("experiment = bernstein\nN_list = [4, 6, 8]\n", "N_list"),
@@ -216,8 +228,9 @@ def _refuse_to_drive(monkeypatch):
     ("experiment = identity_k1\nd = 2\nK = 4393\n", "K"),  # over the basis's hard cap
     ("experiment = bernstein\nN_list = [128]\n", "K"),  # the derived K = 16383, likewise
     ("experiment = bilinear\nN_list = [4, 8]\nM_list = [8]\n", "M_list"),  # the cell N=4, M=8
-    ("experiment = bilinear\nK = 10\nN_list = [4]\n", "K"),  # the draws need K >= 24
-    ("experiment = bilinear_derivative\nK = 10\nN_list = [4]\n", "K"),  # and the word one more
+    ("experiment = bilinear\nK = 2000\n", "K"),  # the bilinear rows read no K
+    ("experiment = bilinear_derivative\nK = 2000\n", "K"),
+    ("experiment = bilinear\nN_list = [128]\n", "N_list"),  # draws of degree 7385
 ])
 def test_run_time_failures_refused_up_front(tmp_path, capsys, monkeypatch, command, text, key):
     _refuse_to_drive(monkeypatch)
@@ -249,23 +262,29 @@ def test_validate_accepts_the_edges_of_the_up_front_checks(tmp_path, capsys, mon
     assert "resolved_config" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("text", [
-    "experiment = bilinear\nN_list = [4]\ntrials = 1\n",
-    "experiment = bilinear_derivative\nN_list = [4]\ntrials = 1\n",
-    "experiment = bilinear\nd = 1\nN_list = [8]\ntrials = 1\n",  # one axis takes all of N^2
-    "experiment = bernstein\nN_list = [2, 4]\ntrials = 1\n",
+@pytest.mark.parametrize("text,draw_K", [
+    ("experiment = bilinear\nN_list = [4]\ntrials = 1\n", lab.bilinear_min_K(4)),
+    ("experiment = bilinear_derivative\nN_list = [4]\ntrials = 1\n", lab.bilinear_min_K(4) + 1),
+    # one axis takes all of N^2
+    ("experiment = bilinear\nd = 1\nN_list = [8]\ntrials = 1\n", lab.bilinear_min_K(8, 1)),
+    ("experiment = bernstein\nN_list = [2, 4]\ntrials = 1\n", None),
 ])
-def test_validate_resolves_the_K_that_run_uses(tmp_path, capsys, text):
+def test_validate_resolves_the_K_that_run_uses(tmp_path, capsys, text, draw_K):
     path = _write(tmp_path, text + "seed = 1\n")
     assert main(["validate", path]) == 0
     validated = json.loads(capsys.readouterr().out)
-    assert isinstance(validated["resolved_config"]["K"], int)
     out = tmp_path / "out"
     assert main(["run", path, "--output-dir", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["resolved_config"]["K"] == validated["resolved_config"]["K"]
-    assert manifest["derived"]["K"] == manifest["derived"]["K_needed"] == manifest["resolved_config"]["K"]
-    assert manifest["defaults_applied"]["K"] == validated["defaults_applied"]["K"]
+    assert manifest["defaults_applied"].get("K") == validated["defaults_applied"].get("K")
+    if draw_K is None:
+        assert isinstance(validated["resolved_config"]["K"], int)
+        assert manifest["derived"]["K"] == manifest["derived"]["K_needed"] == manifest["resolved_config"]["K"]
+    else:  # the bilinear rows read no K: their draws fix the basis degree
+        assert validated["resolved_config"]["K"] is None
+        assert "K" not in manifest["defaults_applied"]
+        assert manifest["derived"]["K"] == draw_K and "K_needed" not in manifest["derived"]
     if "bilinear" in text:  # one Gauss rule per cell
         Q_by_cell = manifest["derived"]["Q_by_cell"]
         assert Q_by_cell.keys() == manifest["derived"]["normalization_by_cell"].keys()
@@ -349,11 +368,11 @@ def _row_config(draw):
         keys.add("N_list")
     config = {"experiment": name, "seed": draw(st.integers(0, 2**32)),
               **{key: draw(_VALID[key]) for key in sorted(keys)}}
+    if name == "energy_increment" and "N_list" in keys:  # it refuses a repeated N
+        config["N_list"] = list(dict.fromkeys(config["N_list"]))
     if "M_list" in EXPERIMENTS[name][2]:  # every bilinear cell has N >= M
         lists = {**EXPERIMENTS[name][2], **config}
         assume(min(lists["N_list"]) >= max(lists["M_list"]))
-        if "K" in config:  # and a K that holds its draws: the drawn K counts up from it
-            config["K"] += EXPERIMENTS[name][2]["K"](lists) - 1
     return config
 
 
@@ -664,12 +683,9 @@ def test_conservation_csv_columns(tmp_path):
     out = tmp_path / "c"
     assert main(["run", cfg_path, "--output-dir", str(out)]) == 0
     header, *rows = (out / "results.csv").read_text().splitlines()
-    assert header == "t,mass,energy,modified_energy,hs_norm_s"
+    assert header == "t,mass,energy,hs_norm_s"
     summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert len(rows) == summary["n_records"] == 6  # t = 0, every 10 of 50 steps
-    # E(I u) with I = Id: the modified_energy column is the energy column, bit for bit
-    cells = [row.split(",") for row in rows]
-    assert [c[3] for c in cells] == [c[2] for c in cells]
     # solver telemetry goes to the manifest only
     diag = summary["diagnostics"]
     assert diag["steps_per_s"] == pytest.approx(diag["n_steps"] / diag["drive_s"])

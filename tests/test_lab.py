@@ -241,16 +241,25 @@ def test_bilinear_min_K_frozen_values():
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_bilinear_min_K_clips_no_draw(d):
-    # at d = 1 one axis takes all of N^2; a cap sized for 0.85 N^2 clipped every u window
+def test_bilinear_min_K_holds_every_draw(d):
+    # the draws have no degree cap: every window's top degree must lie at or below
+    # bilinear_min_K of the pair's higher frequency (at d = 1 one axis takes all of N^2)
     for N in (4, 5, 8, 12, 16, 24, 32, 48, 64):
-        cap = bilinear_min_K(N, d)
-        for trial in range(200):
-            capped, free = (lab._draw_packet_pair(
-                np.random.default_rng(np.random.SeedSequence((5, N, trial))), d, N, 2, math.pi, K)
-                for K in (cap, 10 ** 9))
-            for (m0, c), (f0, f) in zip(capped[0] + capped[1], free[0] + free[1]):
-                assert m0 == f0 and c.tobytes() == f.tobytes()
+        for M in sorted({2, N}):
+            for trial in range(200):
+                u_axes, v_axes = lab._draw_packet_pair(
+                    np.random.default_rng(np.random.SeedSequence((5, N, M, trial))), d, N, M, math.pi)
+                assert max(m0 + c.size - 1 for m0, c in u_axes + v_axes) <= bilinear_min_K(N, d)
+
+
+@pytest.mark.parametrize("d,word", [(1, "identity"), (2, "GRAD1"), (3, "identity")])
+def test_bilinear_raws_do_not_depend_on_the_basis_degree(d, word):
+    # the basis degree is only checked against the draws: 40 degrees more change no bit
+    w, N = _WORDS[word], 16
+    need = bilinear_min_K(N, d) + w.order
+    a, b = (derivative_bilinear_ratio(HermiteBasis(1, K), d, w, PWord.identity(), N, 2, math.pi,
+                                      4, 9)["raws"] for K in (need, need + 40))
+    assert a.tobytes() == b.tobytes()
 
 
 def test_bilinear_ground_pair_closed_form():
@@ -392,11 +401,10 @@ def _dense_reference_raws(basis, d, word_a, word_b, N, M, T, trials, seed, cell_
     `cell_rule` those of the Gauss rule of top_u + top_v + 1 nodes sized to the cell's
     windows, tabled by full evaluation."""
     tg, tw = _reference_time_rule(T, N)
-    K_draw = basis.K - max(word_a.order, word_b.order)
     pairs = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, N, M, trial)))
-        u_axes, v_axes = lab._draw_packet_pair(rng, d, N, M, T, K_draw)
+        u_axes, v_axes = lab._draw_packet_pair(rng, d, N, M, T)
         for axis in range(d):
             for letter in [letter for letter, ax in word_a.letters if ax - 1 == axis]:
                 u_axes[axis] = _reference_ladder_window(*u_axes[axis], letter)
@@ -478,7 +486,7 @@ def test_bilinear_raw_squared_adds_up_over_periods(k, d, N, seed):
     draw = lab._draw_packet_pair
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lab, "_draw_packet_pair",
-                   lambda rng, d, N, M, T, K: draw(rng, d, N, M, math.pi, K))
+                   lambda rng, d, N, M, T: draw(rng, d, N, M, math.pi))
 
         def raw_sq(T):
             out = derivative_bilinear_ratio(basis, d, ident, ident, N, min(N, 2), T, 2, seed)
@@ -522,7 +530,7 @@ def test_time_rule_is_exact_to_the_bandwidth(B, k, T):
         assert_allclose(np.exp(2j * np.outer(n, tg)) @ tw, want, rtol=0, atol=1e-13 * T)
 
 
-def _gemm_series_raws(basis, d, word, N, M, T, trials, seed):
+def _gemm_series_raws(d, word, N, M, T, trials, seed):
     """The kernel's raws with both factors' time series a real GEMM of the value table
     by c_j e^{-2ijt_k}, as before the FFT: the same draws, every node of the cell's
     Gauss rule (the kernel's nodes are a subset) and lab._time_rule's nodes and weights
@@ -530,7 +538,7 @@ def _gemm_series_raws(basis, d, word, N, M, T, trials, seed):
     pairs = []
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, N, M, trial)))
-        u_axes, v_axes = lab._draw_packet_pair(rng, d, N, M, T, basis.K - word.order)
+        u_axes, v_axes = lab._draw_packet_pair(rng, d, N, M, T)
         for letter, ax in word.letters:
             u_axes[ax - 1] = _reference_ladder_window(*u_axes[ax - 1], letter)
         pairs.append((u_axes, v_axes))
@@ -564,7 +572,7 @@ def test_bilinear_fft_series_matches_gemm_reference(d, word, N, M, trials, T):
     w = _WORDS[word]
     basis = HermiteBasis(1, bilinear_min_K(N, d) + w.order)
     got = derivative_bilinear_ratio(basis, d, w, PWord.identity(), N, M, T, trials, 5)["raws"]
-    want = _gemm_series_raws(basis, d, w, N, M, T, trials, 5)
+    want = _gemm_series_raws(d, w, N, M, T, trials, 5)
     assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
