@@ -6,14 +6,15 @@
 Exports --base with `git archive` into a temporary directory and runs
 `python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0` on it and
 on the working tree, one pair per seed: the same seed on both sides, the order
-swapped every pair.  For each end-to-end metric of BENCHMARK.json the file gets
-every pair's values, each side's quartiles (q1, median, q3), the pairs the change
-won and `clears_spread`: the change won at least 9 in 10 of the pairs and the
-medians differ by more than the base's q3 - q1.  The summary's `runs` gives each
-side's `correct` (every run correct) and its `failed` and `attempted` operations.
-The script exits 1 when a run is not correct or when the change fails a larger
-share of its operations than the base.  An existing --out file keeps its other
-workloads.
+swapped every pair.  It takes at least ten seeds: with six pairs, a one-sided
+result still has odds 1/32 under no change.  For each end-to-end metric of
+BENCHMARK.json the file gets every pair's values, each side's quartiles (q1,
+median, q3), the pairs the change won and `clears_spread`: the change won at
+least 9 in 10 of the pairs and the medians differ by more than the base's q3 - q1.
+The summary's `runs` gives each side's `correct` (every run correct) and its
+`failed` and `attempted` operations.  The script exits 1 when a run is not
+correct or when the change fails a larger share of its operations than the
+base.  An existing --out file keeps its other workloads.
 """
 
 import argparse
@@ -27,6 +28,7 @@ from pathlib import Path
 from export_rev import ROOT, export_rev
 
 SECONDS = 30  # length of every run, the same on both sides and in every BENCH file
+MIN_PAIRS = 10  # the fewest pairs a BENCH file reads a result from
 
 
 def bench(tree: Path, workload: str, seed: int) -> dict:
@@ -45,8 +47,8 @@ def main() -> None:
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=int, nargs=2, required=True, metavar=("FIRST", "LAST"))
     args = p.parse_args()
-    if args.seeds[1] <= args.seeds[0]:
-        p.error("--seeds needs at least two seeds, FIRST < LAST")
+    if args.seeds[1] - args.seeds[0] + 1 < MIN_PAIRS:
+        p.error(f"--seeds needs at least {MIN_PAIRS} seeds, LAST >= FIRST + {MIN_PAIRS - 1}")
     better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     pairs = []
     with tempfile.TemporaryDirectory() as tmp:

@@ -16,8 +16,9 @@ also holds their presets.  Every run writes two files into the output directory:
   out of ``derived``) and taint flags.
 
 A config is refused, naming the key, before any table is built (_resolve).  Its
-largest array is priced from the inputs; for the bilinear experiments that is a
-cell's value table, bounded from N, M, d and the word.
+largest array is priced from the inputs: for the bilinear experiments a cell's value
+table, bounded from N, M, d and the word; for bernstein the coefficient boxes of its
+top window.  Their windows fix their degree (derived.K), so these rows read no K.
 
 Determinism: all randomness derives from per-cell ``SeedSequence((seed, tags...))``
 streams and parallel cells are merged by index, so ``--threads`` (or the
@@ -43,6 +44,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from functools import partial
 
 import numpy as np
@@ -50,7 +52,7 @@ import numpy as np
 from . import __version__
 from .hermite import HARD_CAP_K_EVAL, HEADROOM, HermiteBasis, MultiIndex, SpectralField
 from .operators import (IOperatorSpec, PWord, apply_I, bernstein_draws, bernstein_ratios,
-                        sobolev_norm)
+                        sobolev_norm, window_degree)
 from .solver import SolverConfig, energy, run_recorded
 from .lab import (_TUPLE_BLOCK, almost_orthogonality_scan, bilinear_min_K,
                   derivative_bilinear_ratio, energy_increment_scan, fit_power_law,
@@ -76,15 +78,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     experiment: str
     seed: int
-    d: int | None = None
-    K: int | None = None
-    s: float | None = None
-    N_list: list | None = None
-    M_list: list | None = None
-    dt: float | None = None
-    T: float | None = None
-    trials: int | None = None
-    output_dir: str | None = None
+    keys: MappingProxyType  # the optional keys the config sets, checked, in _CHECKS order
     raw_text: str = ""  # original config text, carried for the manifest echo
 
 
@@ -192,15 +186,9 @@ def _config_from_dict(data: dict, raw_text: str) -> ExperimentConfig:
             raise ConfigError(key, f"{experiment} reads no key {key!r}; its keys: {', '.join(keys)}")
     if "seed" not in data:
         raise ConfigError("seed", "missing required key 'seed' (runs must be reproducible)")
-    kwargs = {
-        "experiment": experiment,
-        "seed": _as_int("seed", data["seed"], lo=0),
-        "raw_text": raw_text,
-    }
-    for key, check in _CHECKS.items():
-        if key in data:
-            kwargs[key] = check(key, data[key])
-    return ExperimentConfig(**kwargs)
+    seed = _as_int("seed", data["seed"], lo=0)
+    checked = {key: check(key, data[key]) for key, check in _CHECKS.items() if key in data}
+    return ExperimentConfig(experiment, seed, MappingProxyType(checked), raw_text)
 
 
 # Experiment-internal knobs (not part of the config key set; echoed in manifests).
@@ -226,15 +214,9 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Merge user config over the experiment's preset -> (resolved dict, defaults
     applied).  A key the experiment does not read resolves to None."""
     preset = EXPERIMENTS[cfg.experiment][2]
-    resolved: dict = {"experiment": cfg.experiment, "seed": cfg.seed}
-    defaults: dict = {}
-    for key in _CHECKS:  # the optional keys
-        resolved[key] = getattr(cfg, key)
-        if resolved[key] is None and key in preset:
-            resolved[key] = defaults[key] = preset[key]
-    for key, value in defaults.items():  # a derived preset reads the other keys
-        if callable(value):
-            resolved[key] = defaults[key] = value(resolved)
+    resolved = {"experiment": cfg.experiment, "seed": cfg.seed, **dict.fromkeys(_CHECKS),
+                **preset, **cfg.keys}
+    defaults = {key: value for key, value in preset.items() if key not in cfg.keys}
     if resolved["output_dir"] is None:
         resolved["output_dir"] = defaults["output_dir"] = os.path.join("runs", cfg.experiment)
     # refused here, before any table is built or any step is taken
@@ -245,6 +227,13 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
         raise ConfigError("N_list", f"N_list must not repeat an N, got {N_list}")
     if cfg.experiment == "energy_increment" and not s > 1.0:
         raise ConfigError("s", f"s must be > 1 for energy_increment, got {s}")
+    if s is not None:  # the Sobolev weights (2|m| + d)^s and their squares stay finite
+        s_max = math.log(sys.float_info.max) / (2 * math.log(2 * d * K + d))
+        if s > s_max:
+            raise ConfigError("s", f"s = {s} overflows (2dK + d)^(2s) at d = {d}, K = {K}; "
+                              f"s must be <= {s_max}")
+    if cfg.experiment == "bernstein" and window_degree(min(N_list), d) < 0:
+        raise ConfigError("N_list", f"N_list holds N = 1, whose window is empty at d = {d}")
     if cfg.experiment == "identity_k1" and d == 1 and K > _IDENTITY_EXHAUSTIVE_K_CAP:
         raise ConfigError("K", f"the exhaustive 1-D identity scan ((K+1)^4 rows) caps at K = "
                           f"{_IDENTITY_EXHAUSTIVE_K_CAP}; use d >= 2 for sampled tuples")
@@ -257,6 +246,9 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
         K = _bilinear_K(resolved, _BILINEAR_WORDS[cfg.experiment][0])  # the run's basis degree
         Q = K + bilinear_min_K(max(M_list), d) + 1  # bounds top_u + top_v + 1, the cell's rule
         key, size, what = "N_list", 8 * Q * (K + 1), f"a value table of {K + 1} x {Q}"
+    elif cfg.experiment == "bernstein":  # a word of order r = 2: r + 1 images and a scratch box
+        K = window_degree(max(N_list), d)
+        key, size, what = "N_list", 64 * (K + 3) ** d, f"4 complex boxes of {K + 3}^{d}"
     elif cfg.experiment == "identity_k1":  # 1-D tables; 4 value and 3 derivative rows per tuple
         size = 8 * (K + HEADROOM + 1) * (2 * K + 2) + 8 * 7 * _TUPLE_BLOCK * (K + 1)
         key, what = "K", (f"a {K + HEADROOM + 1} x {2 * K + 2} value table and a gather of "
@@ -266,7 +258,7 @@ def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
     if size > _MAX_ARRAY_BYTES:
         raise ConfigError(key, f"{key} = {resolved[key]} gives {what}, {size / 2 ** 30:.3g} GiB, "
                           f"over the {_MAX_ARRAY_BYTES // 2 ** 30} GiB bound")
-    if K + HEADROOM > HARD_CAP_K_EVAL:  # key: K, or N_list for the bilinear rows
+    if K + HEADROOM > HARD_CAP_K_EVAL:  # key: K, or N_list for the rows whose windows fix K
         raise ConfigError(key, f"{key} = {resolved[key]} asks for degree {K}, over the largest "
                           f"basis degree, {HARD_CAP_K_EVAL - HEADROOM}")
     return resolved, defaults
@@ -473,11 +465,6 @@ def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
     return DriverResult(table, summary, derived, [])
 
 
-def _bernstein_K(resolved: dict) -> int:
-    """The largest degree inside the top window."""
-    return (2 * max(resolved["N_list"]) ** 2 - resolved["d"] - 1) // 2
-
-
 def _all_words_up_to_order2(d: int) -> list[tuple[str, PWord]]:
     singles = [PWord.grad(ax) for ax in range(1, d + 1)]
     singles += [PWord.x(ax) for ax in range(1, d + 1)]
@@ -487,9 +474,8 @@ def _all_words_up_to_order2(d: int) -> list[tuple[str, PWord]]:
 
 
 def _run_bernstein(resolved: dict, threads: int) -> DriverResult:
-    d, K, seed, trials = resolved["d"], resolved["K"], resolved["seed"], resolved["trials"]
-    N_list = resolved["N_list"]
-    basis = HermiteBasis(d, K)  # ladder algebra only; quadrature tables stay unbuilt
+    d, seed, trials, N_list = resolved["d"], resolved["seed"], resolved["trials"], resolved["N_list"]
+    basis = HermiteBasis(d, window_degree(max(N_list), d))  # ladder algebra only: no tables
     words = _all_words_up_to_order2(d)
     Ns = sorted({int(N) for N in N_list})
     draws = {N: bernstein_draws(basis, N, trials, seed) for N in Ns}
@@ -514,7 +500,7 @@ def _run_bernstein(resolved: dict, threads: int) -> DriverResult:
         ),
         "n_words": len(words),
     }
-    derived = {"K": K, "K_needed": _bernstein_K(resolved), "window_sizes": window_sizes}
+    derived = {"K": basis.K, "window_sizes": window_sizes}
     return DriverResult(table, summary, derived, [])
 
 
@@ -674,7 +660,7 @@ _BILINEAR_WORDS = {
 }
 
 # name -> (driver, description, preset).  The preset holds exactly the optional keys the
-# experiment reads, with their defaults; a callable default is derived from the others.
+# experiment reads, with their defaults.
 EXPERIMENTS: dict[str, tuple] = {
     "identity_k1": (_run_identity_k1, "quadrilinear identity residuals over eigenspace tuples",
                     dict(d=1, K=16, trials=64)),
@@ -684,7 +670,7 @@ EXPERIMENTS: dict[str, tuple] = {
               dict(d=2, N_list=[4, 8, 16, 32, 64], M_list=[2], T=math.pi, trials=32))
        for name, (word, description) in _BILINEAR_WORDS.items()},
     "bernstein": (_run_bernstein, "ladder-word operator norms on dyadic windows vs N^order",
-                  dict(d=1, K=_bernstein_K, N_list=[4, 8, 16, 32, 64], trials=8)),
+                  dict(d=1, N_list=[4, 8, 16, 32, 64], trials=8)),
     "energy_increment": (_run_energy_increment, "modified-energy increments across I-operator cutoffs",
                          dict(d=2, K=64, s=1.5, N_list=[4, 8, 16, 32], dt=1e-5, T=0.4)),
     "norm_growth": (_run_norm_growth, "long-time Sobolev growth with linear control run",

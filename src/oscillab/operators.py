@@ -15,10 +15,10 @@ Verified algebra (and the sign conventions tested in the suite), with H = -Lapla
     [H, GRAD_j] = -2 X_j,   [H, X_j] = -2 GRAD_j,   GRAD_j X_j - X_j GRAD_j = Id.
 
 Bernstein ratios run on the window's coefficient box.  A mode of the Delta_N window has
-2|m| + d < 2 N^2, so every m_j <= K_N = min(K, (2 N^2 - d - 1) // 2), and a trial field
-lives in the box m_j <= K_N.  A letter moves one degree by one, so the image of a word of
-order r lies in that box padded by r, and the padded array holds all of it: its norm is
-||P u|| itself, the quantity the full-basis computation recovered as hypot(kept, spill).
+2|m| + d < 2 N^2, so every m_j <= K_N = min(K, window_degree(N, d)), the box of a trial
+field.  A letter moves one degree by one, so the image of a word of order r lies in that
+box padded by r, and the padded array holds all of it: its norm is ||P u|| itself, the
+quantity the full-basis computation recovered as hypot(kept, spill).
 Each image entry is the same products summed in the same order as on the full basis;
 only the summation order of the norm differs, at roundoff.  bernstein_ratios evaluates
 many words on one set of trials: each order has its own box, so a norm is taken over
@@ -47,6 +47,7 @@ __all__ = [
     "i_multiplier",
     "apply_I",
     "apply_I_inverse",
+    "window_degree",
     "bernstein_draws",
     "bernstein_ratio",
     "bernstein_ratios",
@@ -285,6 +286,11 @@ def apply_I_inverse(u: SpectralField, spec: IOperatorSpec) -> SpectralField:
 # Bernstein-type operator bound on dyadic windows
 # ---------------------------------------------------------------------------
 
+def window_degree(N: int, d: int) -> int:
+    """The largest m_j in the Delta_N window (2|m| + d < 2 N^2); negative when it is empty."""
+    return (2 * N * N - d - 1) // 2
+
+
 def bernstein_draws(basis: HermiteBasis, N: int, trials: int, seed: int):
     """The trial fields of bernstein_ratio, which do not depend on the word.
 
@@ -296,7 +302,7 @@ def bernstein_draws(basis: HermiteBasis, N: int, trials: int, seed: int):
     N = _check_dyadic(N)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = min(basis.K, (2 * N * N - basis.d - 1) // 2) + 1  # 2|m| + d < 2 N^2 bounds every m_j
+    n = min(basis.K, window_degree(N, basis.d)) + 1
     lsq = eigenvalue_box(basis.d, n)
     window = (4 * lsq > N * N) & (lsq < 2 * N * N)
     n_window = int(window.sum())

@@ -34,6 +34,7 @@ from oscillab.cli import (
     run,
 )
 from oscillab.hermite import HermiteBasis
+from oscillab.operators import window_degree
 
 FAST_IDENTITY = "experiment = identity_k1\nK = 5\nseed = 42\n"
 
@@ -54,10 +55,8 @@ def test_parse_key_value_and_json_agree():
         {"experiment": "bilinear", "seed": 7, "N_list": [4, 8], "T": 3.5}
     ))
     # identical settings; only the raw_text echo differs between formats
-    for field in ("experiment", "seed", "d", "K", "s", "N_list", "M_list", "dt", "T", "trials"):
-        assert getattr(kv, field) == getattr(js, field)
-    assert kv.N_list == [4, 8]
-    assert kv.T == 3.5
+    assert replace(kv, raw_text="") == replace(js, raw_text="")
+    assert kv.keys == {"N_list": [4, 8], "T": 3.5}
 
 
 @pytest.mark.parametrize("text,field,value", [
@@ -70,7 +69,8 @@ def test_parse_key_value_and_json_agree():
     ('{"experiment": "bilinear", "seed": 1, "output_dir": "runs/#1"}', "output_dir", "runs/#1"),
 ])
 def test_parse_config_ignores_comments_and_blanks(text, field, value):
-    assert getattr(parse_config(text), field) == value
+    cfg = parse_config(text)
+    assert {"experiment": cfg.experiment, **cfg.keys}[field] == value
 
 
 def test_unknown_key_is_named_in_error():
@@ -165,6 +165,8 @@ def test_config_is_frozen():
     cfg = parse_config(FAST_IDENTITY)
     with pytest.raises(Exception):
         cfg.K = 10
+    with pytest.raises(TypeError):  # nor can a key be set through the mapping
+        cfg.keys["K"] = 10
 
 
 def test_registry_covers_every_preset_experiment():
@@ -226,7 +228,15 @@ def _refuse_to_drive(monkeypatch):
     ("experiment = conservation\nd = 3\nK = 400\n", "K"),  # an 802^3 complex grid, 8.2 GB
     ("experiment = identity_k1\nd = 3\nK = 12000\n", "K"),  # a 1-D value table of 2.1 GiB
     ("experiment = identity_k1\nd = 2\nK = 4393\n", "K"),  # over the basis's hard cap
-    ("experiment = bernstein\nN_list = [128]\n", "K"),  # the derived K = 16383, likewise
+    ("experiment = bernstein\nN_list = [128]\n", "N_list"),  # a window of degree 16383
+    ("experiment = bernstein\nd = 3\nN_list = [32]\n", "N_list"),  # 4 boxes of 1025^3, 64 GiB
+    ("experiment = bernstein\nK = 63\n", "K"),  # its windows fix the degree: it reads no K
+    ("experiment = bernstein\nd = 2\nN_list = [1, 2]\n", "N_list"),  # Delta_1 is empty at d >= 2
+    ("experiment = bernstein\nd = 3\nN_list = [1]\n", "N_list"),
+    # (2dK + d)^(2s) overflows: the solver rows once wrote NaN or a wrong 0.0, untainted
+    ("experiment = energy_increment\nK = 16\ndt = 1e-4\nT = 0.001\ns = 400\n", "s"),
+    ("experiment = norm_growth\nK = 8\nT = 1\ns = 1000\n", "s"),
+    ("experiment = conservation\nK = 8\nT = 0.1\ns = 1000\n", "s"),
     ("experiment = bilinear\nN_list = [4, 8]\nM_list = [8]\n", "M_list"),  # the cell N=4, M=8
     ("experiment = bilinear\nK = 2000\n", "K"),  # the bilinear rows read no K
     ("experiment = bilinear_derivative\nK = 2000\n", "K"),
@@ -242,8 +252,29 @@ def test_run_time_failures_refused_up_front(tmp_path, capsys, monkeypatch, comma
 
 
 @pytest.mark.parametrize("text", [
+    "experiment = energy_increment\nN_list = [1, 2, 4]\ndt = 1e-3\nT = 0.002\n",
+    "experiment = norm_growth\nT = 1\n",
+    "experiment = conservation\nT = 0.1\n",
+])
+def test_the_largest_s_accepted_runs_to_finite_output(tmp_path, capsys, text):
+    d, K = 2, 8
+    s_max = math.log(sys.float_info.max) / (2 * math.log(2 * d * K + d))  # 100.6
+    over = _write(tmp_path, f"{text}d = {d}\nK = {K}\ns = {math.nextafter(s_max, math.inf)!r}\n"
+                            "seed = 1\n", "over.cfg")
+    assert main(["validate", over]) == 1
+    assert "config error [s]" in capsys.readouterr().err
+    path = _write(tmp_path, f"{text}d = {d}\nK = {K}\ns = {s_max!r}\nseed = 1\n")
+    assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 0
+    _, *rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
+    cells = [cell for row in rows for cell in row.split(",") if cell not in ("nonlinear", "linear")]
+    assert cells and all(math.isfinite(float(cell)) for cell in cells)
+
+
+@pytest.mark.parametrize("text", [
     "experiment = energy_increment\nN_list = [1, 2, 4]\ns = 1.01\n",
     "experiment = bernstein\nN_list = [2, 16]\n",
+    "experiment = bernstein\nd = 2\nN_list = [64]\n",  # 4 boxes of 4097^2, 1.0 GiB
+    "experiment = bernstein\nd = 3\nN_list = [16]\n",  # 4 boxes of 257^3, 1.0 GiB
     "experiment = bilinear\nN_list = [6, 12]\n",  # any N: the time rule needs no dyadic N
     "experiment = identity_k1\nK = 24\n",
     "experiment = identity_k1\nd = 2\nK = 40\n",
@@ -267,7 +298,9 @@ def test_validate_accepts_the_edges_of_the_up_front_checks(tmp_path, capsys, mon
     ("experiment = bilinear_derivative\nN_list = [4]\ntrials = 1\n", lab.bilinear_min_K(4) + 1),
     # one axis takes all of N^2
     ("experiment = bilinear\nd = 1\nN_list = [8]\ntrials = 1\n", lab.bilinear_min_K(8, 1)),
-    ("experiment = bernstein\nN_list = [2, 4]\ntrials = 1\n", None),
+    ("experiment = bernstein\nN_list = [2, 4]\ntrials = 1\n", window_degree(4, 1)),
+    ("experiment = bernstein\nd = 2\nN_list = [2, 4]\ntrials = 1\n", window_degree(4, 2)),
+    ("experiment = bernstein\nN_list = [1]\ntrials = 1\n", 0),  # one mode at d = 1, m = 0
 ])
 def test_validate_resolves_the_K_that_run_uses(tmp_path, capsys, text, draw_K):
     path = _write(tmp_path, text + "seed = 1\n")
@@ -278,13 +311,10 @@ def test_validate_resolves_the_K_that_run_uses(tmp_path, capsys, text, draw_K):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["resolved_config"]["K"] == validated["resolved_config"]["K"]
     assert manifest["defaults_applied"].get("K") == validated["defaults_applied"].get("K")
-    if draw_K is None:
-        assert isinstance(validated["resolved_config"]["K"], int)
-        assert manifest["derived"]["K"] == manifest["derived"]["K_needed"] == manifest["resolved_config"]["K"]
-    else:  # the bilinear rows read no K: their draws fix the basis degree
-        assert validated["resolved_config"]["K"] is None
-        assert "K" not in manifest["defaults_applied"]
-        assert manifest["derived"]["K"] == draw_K and "K_needed" not in manifest["derived"]
+    # these rows read no K: their windows fix the basis degree
+    assert validated["resolved_config"]["K"] is None
+    assert "K" not in manifest["defaults_applied"]
+    assert manifest["derived"]["K"] == draw_K and "K_needed" not in manifest["derived"]
     if "bilinear" in text:  # one Gauss rule per cell
         Q_by_cell = manifest["derived"]["Q_by_cell"]
         assert Q_by_cell.keys() == manifest["derived"]["normalization_by_cell"].keys()
@@ -364,12 +394,14 @@ _COMMON = ("experiment", "seed", "output_dir")
 def _row_config(draw):
     name = draw(st.sampled_from(list(EXPERIMENTS)))
     keys = draw(st.sets(st.sampled_from(sorted(EXPERIMENTS[name][2]) + ["output_dir"])))
-    if name == "bernstein" and "d" in keys:  # the preset N_list at d = 3 gives an 8190^3 grid
+    if name == "bernstein" and "d" in keys:  # the preset N_list at d = 3 gives 4097^3 boxes
         keys.add("N_list")
     config = {"experiment": name, "seed": draw(st.integers(0, 2**32)),
               **{key: draw(_VALID[key]) for key in sorted(keys)}}
     if name == "energy_increment" and "N_list" in keys:  # it refuses a repeated N
         config["N_list"] = list(dict.fromkeys(config["N_list"]))
+    if name == "bernstein" and config.get("d", 1) > 1:  # Delta_1 holds no mode at d >= 2
+        config["N_list"] = [N for N in config["N_list"] if N > 1] or [2]
     if "M_list" in EXPERIMENTS[name][2]:  # every bilinear cell has N >= M
         lists = {**EXPERIMENTS[name][2], **config}
         assume(min(lists["N_list"]) >= max(lists["M_list"]))
@@ -439,10 +471,7 @@ def test_readme_key_table_is_the_registry():
         preset = EXPERIMENTS[name][2]
         assert {key for key, cell in cells.items() if cell != "—"} == set(preset), name
         for key, value in preset.items():
-            if callable(value):  # worked out from the other keys: the README names the rule
-                assert cells[key].startswith("derived:"), (name, key)
-            else:
-                assert json.loads(cells[key].replace("π", repr(math.pi))) == value, (name, key)
+            assert json.loads(cells[key].replace("π", repr(math.pi))) == value, (name, key)
 
 
 def test_readme_python_api_example_runs(capsys):
@@ -786,3 +815,14 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
     assert (tmp_path / "empty.csv").read_text() == "i,x,flag,label,mixed\n"
     with pytest.raises(ValueError, match="unequal lengths"):
         _write_csv(str(tmp_path / "ragged.csv"), {"i": [1, 2], "x": [0.5]})
+
+
+def test_bench_pairs_refuses_fewer_than_ten_seeds(tmp_path):
+    # with six pairs a one-sided result has odds 1/32 under no change
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+    out = tmp_path / "BENCH.json"
+    done = subprocess.run([sys.executable, str(script), "--out", str(out), "--base", "HEAD",
+                           "--workload", "scans", "--seeds", "1", "9"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and "at least 10 seeds" in done.stderr
+    assert not out.exists()

@@ -32,7 +32,8 @@ from oscillab import (
     project_pi_mu,
     sobolev_norm,
 )
-from oscillab.operators import _apply_word, bernstein_draws
+from oscillab.hermite import eigenvalue_box
+from oscillab.operators import _apply_word, bernstein_draws, window_degree
 
 
 def _random_field(basis, seed, top_margin=0):
@@ -252,6 +253,19 @@ def test_bernstein_grad_ratio_stable_across_N():
     r16 = bernstein_ratio(basis, PWord.grad(1), 16, trials=6, seed=0)
     assert 0.5 < r8 < 2.5
     assert abs(r16 / r8 - 1.0) < 0.25
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 4, 8])
+def test_window_degree_is_the_largest_degree_in_the_window(d, N):
+    # every mode with m_j <= N^2, a box past any window mode: N^2/4 < 2|m| + d < 2 N^2
+    lsq = eigenvalue_box(d, N * N + 1)
+    in_window = (4 * lsq > N * N) & (lsq < 2 * N * N)
+    degrees = np.indices(lsq.shape)[:, in_window]
+    if degrees.size:
+        assert window_degree(N, d) == degrees.max()
+    else:  # only Delta_1 at d >= 2 holds no mode
+        assert (N, d > 1) == (1, True) and window_degree(N, d) < 0
 
 
 def test_bernstein_rejects_empty_window():
