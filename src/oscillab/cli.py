@@ -2,8 +2,8 @@
 
 A run is described by a JSON object or by ``key = value`` lines (``#`` outside a
 quoted value starts a comment), each key given once.  Its keys are ``experiment``,
-``seed``, ``output_dir`` and the keys of the experiment's row in EXPERIMENTS, which
-also holds their presets.  Every run writes two files into the output directory:
+``seed``, ``output_dir`` and the keys of the preset of the experiment's record in
+EXPERIMENTS.  Every run writes two files into the output directory:
 
 * ``results.csv`` — long-format table with a fixed column set per experiment;
   floats are written with shortest round-trip formatting, so the file is
@@ -16,9 +16,9 @@ also holds their presets.  Every run writes two files into the output directory:
   out of ``derived``) and taint flags.
 
 A config is refused, naming the key, before any table is built (_resolve).  Its
-largest array is priced from the inputs: for the bilinear experiments a cell's value
-table, bounded from N, M, d and the word; for bernstein the coefficient boxes of its
-top window.  Their windows fix their degree (derived.K), so these rows read no K.
+record's limits price its largest array from the inputs: for the bilinear experiments a
+cell's value table, bounded from N, M, d and the word; for bernstein its top window's
+boxes or its draws.  Their windows fix their degree (derived.K), so they read no K.
 
 Determinism: all randomness derives from per-cell ``SeedSequence((seed, tags...))``
 streams and parallel cells are merged by index, so ``--threads`` (or the
@@ -43,6 +43,7 @@ import os
 import re
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from functools import partial
@@ -52,7 +53,7 @@ import numpy as np
 from . import __version__
 from .hermite import HARD_CAP_K_EVAL, HEADROOM, HermiteBasis, MultiIndex, SpectralField
 from .operators import (IOperatorSpec, PWord, apply_I, bernstein_draws, bernstein_ratios,
-                        sobolev_norm, window_degree)
+                        sobolev_norm, window_degree, window_size)
 from .solver import SolverConfig, energy, run_recorded
 from .lab import (_TUPLE_BLOCK, almost_orthogonality_scan, bilinear_min_K,
                   derivative_bilinear_ratio, energy_increment_scan, fit_power_law,
@@ -180,7 +181,7 @@ def _config_from_dict(data: dict, raw_text: str) -> ExperimentConfig:
             "experiment",
             f"unknown experiment {experiment!r}; choices: {', '.join(EXPERIMENTS)}",
         )
-    keys = ("experiment", "seed", *EXPERIMENTS[experiment][2], "output_dir")
+    keys = ("experiment", "seed", *EXPERIMENTS[experiment].preset, "output_dir")
     for key in data:
         if key not in keys:
             raise ConfigError(key, f"{experiment} reads no key {key!r}; its keys: {', '.join(keys)}")
@@ -191,77 +192,37 @@ def _config_from_dict(data: dict, raw_text: str) -> ExperimentConfig:
     return ExperimentConfig(experiment, seed, MappingProxyType(checked), raw_text)
 
 
-# Experiment-internal knobs (not part of the config key set; echoed in manifests).
-_ORTHO_C0 = 2.0
-_IDENTITY_EXHAUSTIVE_K_CAP = 24
 _MAX_STEPS = 10 ** 7  # the most solver steps a config may ask for
 _MAX_ARRAY_BYTES = 2 ** 31  # the largest array a config may ask for: 2 GiB
-_INC_RECORD_EVERY = 200
-_INC_BODY_DECAY = 6.0
-_INC_BODY_DEG_CUT = 40
-_INC_RING_AMP = 0.15
-_GROWTH_RECORD_EVERY = 20
-_GROWTH_BODY_DECAY = 4.0
-_GROWTH_DEG_CUT = 20
-_GROWTH_HS_NORM = 3.0
-_CONS_RECORD_EVERY = 10
-_CONS_BODY_DECAY = 2.0
-_CONS_DEG_CUT = 9
-_CONS_MASS = 0.25
 
 
-def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict]:
+def _resolve(cfg: ExperimentConfig) -> tuple[dict, dict, dict]:
     """Merge user config over the experiment's preset -> (resolved dict, defaults
-    applied).  A key the experiment does not read resolves to None."""
-    preset = EXPERIMENTS[cfg.experiment][2]
+    applied, price).  A key the experiment does not read resolves to None."""
+    row = EXPERIMENTS[cfg.experiment]
     resolved = {"experiment": cfg.experiment, "seed": cfg.seed, **dict.fromkeys(_CHECKS),
-                **preset, **cfg.keys}
-    defaults = {key: value for key, value in preset.items() if key not in cfg.keys}
+                **row.preset, **cfg.keys}
+    defaults = {key: value for key, value in row.preset.items() if key not in cfg.keys}
     if resolved["output_dir"] is None:
         resolved["output_dir"] = defaults["output_dir"] = os.path.join("runs", cfg.experiment)
-    # refused here, before any table is built or any step is taken
-    d, K, s, N_list, M_list, dt, T = (resolved[k] for k in ("d", "K", "s", "N_list", "M_list", "dt", "T"))
-    if cfg.experiment in ("energy_increment", "bernstein") and any(N & (N - 1) for N in N_list):
-        raise ConfigError("N_list", f"N_list must hold powers of two, got {N_list}")
-    if cfg.experiment == "energy_increment" and len(set(N_list)) < len(N_list):
-        raise ConfigError("N_list", f"N_list must not repeat an N, got {N_list}")
-    if cfg.experiment == "energy_increment" and not s > 1.0:
-        raise ConfigError("s", f"s must be > 1 for energy_increment, got {s}")
+    # refused here, before any table is built or any step is taken; the row's own first
+    key, size, what, degree = row.limits(resolved)
+    d, K, s, dt, T = (resolved[k] for k in ("d", "K", "s", "dt", "T"))
     if s is not None:  # the Sobolev weights (2|m| + d)^s and their squares stay finite
         s_max = math.log(sys.float_info.max) / (2 * math.log(2 * d * K + d))
         if s > s_max:
             raise ConfigError("s", f"s = {s} overflows (2dK + d)^(2s) at d = {d}, K = {K}; "
                               f"s must be <= {s_max}")
-    if cfg.experiment == "bernstein" and window_degree(min(N_list), d) < 0:
-        raise ConfigError("N_list", f"N_list holds N = 1, whose window is empty at d = {d}")
-    if cfg.experiment == "identity_k1" and d == 1 and K > _IDENTITY_EXHAUSTIVE_K_CAP:
-        raise ConfigError("K", f"the exhaustive 1-D identity scan ((K+1)^4 rows) caps at K = "
-                          f"{_IDENTITY_EXHAUSTIVE_K_CAP}; use d >= 2 for sampled tuples")
     if dt is not None and T / dt > _MAX_STEPS:
         raise ConfigError("dt", f"T / dt = {T / dt:.3g} steps exceeds {_MAX_STEPS:.0e}")
-    if cfg.experiment in _BILINEAR_WORDS:  # 1-D tables; a cell's value table is largest
-        if min(N_list) < max(M_list):
-            raise ConfigError("M_list", f"M_list must not exceed min(N_list) = {min(N_list)} "
-                              f"(u carries the high frequency), got {M_list}")
-        K = _bilinear_K(resolved, _BILINEAR_WORDS[cfg.experiment][0])  # the run's basis degree
-        Q = K + bilinear_min_K(max(M_list), d) + 1  # bounds top_u + top_v + 1, the cell's rule
-        key, size, what = "N_list", 8 * Q * (K + 1), f"a value table of {K + 1} x {Q}"
-    elif cfg.experiment == "bernstein":  # a word of order r = 2: r + 1 images and a scratch box
-        K = window_degree(max(N_list), d)
-        key, size, what = "N_list", 64 * (K + 3) ** d, f"4 complex boxes of {K + 3}^{d}"
-    elif cfg.experiment == "identity_k1":  # 1-D tables; 4 value and 3 derivative rows per tuple
-        size = 8 * (K + HEADROOM + 1) * (2 * K + 2) + 8 * 7 * _TUPLE_BLOCK * (K + 1)
-        key, what = "K", (f"a {K + HEADROOM + 1} x {2 * K + 2} value table and a gather of "
-                          f"7 x {_TUPLE_BLOCK} rows of {K + 1} nodes")
-    else:
-        key, size, what = "K", (2 * K + 2) ** d * 16, f"a {2 * K + 2}^{d} complex grid"
     if size > _MAX_ARRAY_BYTES:
         raise ConfigError(key, f"{key} = {resolved[key]} gives {what}, {size / 2 ** 30:.3g} GiB, "
                           f"over the {_MAX_ARRAY_BYTES // 2 ** 30} GiB bound")
-    if K + HEADROOM > HARD_CAP_K_EVAL:  # key: K, or N_list for the rows whose windows fix K
-        raise ConfigError(key, f"{key} = {resolved[key]} asks for degree {K}, over the largest "
-                          f"basis degree, {HARD_CAP_K_EVAL - HEADROOM}")
-    return resolved, defaults
+    if degree + HEADROOM > HARD_CAP_K_EVAL:  # the windows fix the degree of the rows without K
+        key = "K" if "K" in row.preset else "N_list"
+        raise ConfigError(key, f"{key} = {resolved[key]} asks for degree {degree}, over the "
+                          f"largest basis degree, {HARD_CAP_K_EVAL - HEADROOM}")
+    return resolved, defaults, {"key": key, "bytes": size, "what": what, "degree": degree}
 
 
 # --------------------------------------------------------------------------
@@ -376,12 +337,36 @@ def _word_label(word: PWord) -> str:
 
 
 # --------------------------------------------------------------------------
-# Experiment drivers
+# Experiment limits and drivers
 # --------------------------------------------------------------------------
+
+def _grid_limits(resolved: dict) -> tuple:
+    d, K = resolved["d"], resolved["K"]
+    return "K", (2 * K + 2) ** d * 16, f"a {2 * K + 2}^{d} complex grid", K
+
+
+def _check_dyadic(N_list: list) -> None:
+    if any(N & (N - 1) for N in N_list):
+        raise ConfigError("N_list", f"N_list must hold powers of two, got {N_list}")
+
+
+def _identity_limits(resolved: dict, exhaustive_K_cap: int) -> tuple:
+    """1-D tables, 4 value and 3 derivative rows per tuple; at d >= 2 the sampled tuples."""
+    d, K, trials = resolved["d"], resolved["K"], resolved["trials"]
+    if d == 1 and K > exhaustive_K_cap:
+        raise ConfigError("K", f"the exhaustive 1-D identity scan ((K+1)^4 rows) caps at K = "
+                          f"{exhaustive_K_cap}; use d >= 2 for sampled tuples")
+    prices = [("K", 8 * (K + HEADROOM + 1) * (2 * K + 2) + 8 * 7 * _TUPLE_BLOCK * (K + 1),
+               f"a {K + HEADROOM + 1} x {2 * K + 2} value table and a gather of "
+               f"7 x {_TUPLE_BLOCK} rows of {K + 1} nodes")]
+    if d > 1:
+        prices.append(("trials", 32 * d * trials, f"a {trials} x 4 x {d} int64 array of tuples"))
+    return (*max(prices, key=lambda price: price[1]), K)
+
 
 def _run_identity_k1(resolved: dict, threads: int) -> DriverResult:
     d, K, seed, trials = resolved["d"], resolved["K"], resolved["seed"], resolved["trials"]
-    if d == 1:  # every tuple, in C order; K is capped by _resolve
+    if d == 1:  # every tuple, in C order; K is capped by _identity_limits
         modes = np.indices((K + 1,) * 4).reshape(4, -1).T[..., None]
     else:
         modes = np.empty((trials, 4, d), dtype=np.int64)
@@ -402,15 +387,13 @@ def _run_identity_k1(resolved: dict, threads: int) -> DriverResult:
     return DriverResult(table, summary, derived, [])
 
 
-def _run_orthogonality(resolved: dict, threads: int) -> DriverResult:
+def _run_orthogonality(resolved: dict, threads: int, C0: float) -> DriverResult:
     d, K, seed, trials = resolved["d"], resolved["K"], resolved["seed"], resolved["trials"]
     basis = HermiteBasis(d, K)
     ground = MultiIndex((0,) * d)
     trio = [SpectralField.from_mode(basis, ground) for _ in range(3)]
     lambda1_list = [math.sqrt(2 * m + d) for m in range(K + 1)]
-    res = almost_orthogonality_scan(
-        basis, lambda1_list, *trio, trials=trials, seed=seed, C0=_ORTHO_C0
-    )
+    res = almost_orthogonality_scan(basis, lambda1_list, *trio, trials=trials, seed=seed, C0=C0)
     table = {"lambda1_sq": np.rint(res["lambda1"] ** 2).astype(int),
              "max_abs_L0": res["max_abs_L0"]}
     summary = {
@@ -419,14 +402,19 @@ def _run_orthogonality(resolved: dict, threads: int) -> DriverResult:
         "n_admissible": len(res["lambda1"]),
         "empty_window": bool(res["empty"]),
     }
-    derived = {"C0": _ORTHO_C0, "trio_mu_sq": [d, d, d], "Q": 2 * K + 2}
+    derived = {"C0": C0, "trio_mu_sq": [d, d, d], "Q": 2 * K + 2}
     return DriverResult(table, summary, derived, [])
 
 
-def _bilinear_K(resolved: dict, word_a: PWord) -> int:
-    """The degree that holds every packet draw and its word (word_b is the identity)."""
-    N = max(max(resolved["N_list"]), max(resolved["M_list"]))
-    return bilinear_min_K(N, resolved["d"]) + word_a.order
+def _bilinear_limits(resolved: dict, word_a: PWord) -> tuple:
+    """A cell's value table, at the degree that holds every draw and its word (v's is ID)."""
+    d, N_list, M_list = resolved["d"], resolved["N_list"], resolved["M_list"]
+    if min(N_list) < max(M_list):
+        raise ConfigError("M_list", f"M_list must not exceed min(N_list) = {min(N_list)} "
+                          f"(u carries the high frequency), got {M_list}")
+    K = bilinear_min_K(max(N_list), d) + word_a.order
+    Q = K + bilinear_min_K(max(M_list), d) + 1  # bounds top_u + top_v + 1, the cell's rule
+    return "N_list", 8 * Q * (K + 1), f"a value table of {K + 1} x {Q}", K
 
 
 def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
@@ -434,8 +422,8 @@ def _run_bilinear(resolved: dict, threads: int, word_a: PWord) -> DriverResult:
     d, seed = resolved["d"], resolved["seed"]
     N_list, M_list = resolved["N_list"], resolved["M_list"]
     T, trials = resolved["T"], resolved["trials"]
-    # its degree holds the draws and is checked against them; each cell builds its own rule
-    axis_basis = HermiteBasis(1, _bilinear_K(resolved, word_a))
+    # the degree it was priced at; each cell builds its own rule
+    axis_basis = HermiteBasis(1, _bilinear_limits(resolved, word_a)[3])
     cells = [(int(N), int(M)) for M in M_list for N in N_list]
     results = _map_cells(lambda nm: derivative_bilinear_ratio(
         axis_basis, d, word_a, word_b, *nm, T, trials, seed), cells, threads)
@@ -471,6 +459,19 @@ def _all_words_up_to_order2(d: int) -> list[tuple[str, PWord]]:
     words = [PWord.identity()] + singles
     words += [w1.then(w2) for w1 in singles for w2 in singles]
     return [(_word_label(w), w) for w in words]
+
+
+def _bernstein_limits(resolved: dict) -> tuple:
+    """A word of order 2 on the top window (3 images and a scratch box), or every draw."""
+    d, trials, N_list = resolved["d"], resolved["trials"], resolved["N_list"]
+    _check_dyadic(N_list)
+    if window_degree(min(N_list), d) < 0:
+        raise ConfigError("N_list", f"N_list holds N = 1, whose window is empty at d = {d}")
+    K = window_degree(max(N_list), d)
+    modes = sum(window_size(N, d) for N in set(N_list))
+    prices = [("N_list", 64 * (K + 3) ** d, f"4 complex boxes of {K + 3}^{d}"),
+              ("trials", 16 * trials * modes, f"{trials} draws of {modes} window modes")]
+    return (*max(prices, key=lambda price: price[1]), K)
 
 
 def _run_bernstein(resolved: dict, threads: int) -> DriverResult:
@@ -514,30 +515,40 @@ def _decaying_body(basis: HermiteBasis, rng, decay: float, degree_cut: int) -> n
     return body
 
 
-def _increment_datum(basis: HermiteBasis, seed: int) -> SpectralField:
-    """Unit-mass random body below degree _INC_BODY_DEG_CUT plus a band on the top
-    three degree shells.
+def _increment_datum(basis: HermiteBasis, seed: int, datum: dict) -> SpectralField:
+    """Unit-mass random body below datum's body_degree_cut plus a band on the top three
+    degree shells, of norm ring_amplitude.
 
     The band shells are mutually connected by degree-conserving (resonant) cubic
     interactions, so mass flows across the top eigenvalue cut at an O(t) rate; the
     narrowest I-cutoffs see that flux through their multiplier and stay strictly
     above the splitting-drift floor."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
-    body = _decaying_body(basis, rng, _INC_BODY_DECAY, _INC_BODY_DEG_CUT)
+    body = _decaying_body(basis, rng, datum["body_decay"], datum["body_degree_cut"])
     body /= np.linalg.norm(body)
     deg = (basis.lambda_sq - basis.d) // 2
     band = rng.standard_normal(deg.shape) + 1j * rng.standard_normal(deg.shape)
     band[deg < deg.max() - 2] = 0.0
-    band *= _INC_RING_AMP / np.linalg.norm(band)
+    band *= datum["ring_amplitude"] / np.linalg.norm(band)
     return SpectralField(basis, body + band)
 
 
-def _run_energy_increment(resolved: dict, threads: int) -> DriverResult:
+def _increment_limits(resolved: dict) -> tuple:
+    N_list, s = resolved["N_list"], resolved["s"]
+    _check_dyadic(N_list)
+    if len(set(N_list)) < len(N_list):
+        raise ConfigError("N_list", f"N_list must not repeat an N, got {N_list}")
+    if not s > 1.0:
+        raise ConfigError("s", f"s must be > 1 for energy_increment, got {s}")
+    return _grid_limits(resolved)
+
+
+def _run_energy_increment(resolved: dict, threads: int, record_every: int, datum: dict) -> DriverResult:
     d, K, s, seed = resolved["d"], resolved["K"], resolved["s"], resolved["seed"]
     N_list, dt, T = resolved["N_list"], resolved["dt"], resolved["T"]
     basis = HermiteBasis(d, K)
-    u0 = _increment_datum(basis, seed)
-    cfg = SolverConfig(dt=dt, T=T, record_every=_INC_RECORD_EVERY)
+    u0 = _increment_datum(basis, seed, datum)
+    cfg = SolverConfig(dt=dt, T=T, record_every=record_every)
     res = energy_increment_scan(u0, s, N_list, cfg)
     Ns = [int(N) for N in N_list]
     table = {"N": Ns, "sup_increment": [res["increments"][N] for N in Ns]}
@@ -565,28 +576,21 @@ def _run_energy_increment(resolved: dict, threads: int) -> DriverResult:
         delta_by_N[str(N)] = min(1.0, 1.0 / (h1 * h1))
     derived = {
         "delta_by_N": delta_by_N,
-        "record_every": _INC_RECORD_EVERY,
-        "datum": {"body_decay": _INC_BODY_DECAY, "body_degree_cut": _INC_BODY_DEG_CUT,
-                  "ring_amplitude": _INC_RING_AMP, "ring_degree": d * K},
+        "record_every": record_every,
+        "datum": {**datum, "ring_degree": d * K},
         "Q": 2 * K + 2,
     }
     taints = ["solver_spillage"] if res["diagnostics"]["tainted"] else []
     return DriverResult(table, summary, derived, taints)
 
 
-def _growth_datum(basis: HermiteBasis, seed: int, s: float) -> SpectralField:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 202)))
-    u = SpectralField(basis, _decaying_body(basis, rng, _GROWTH_BODY_DECAY, _GROWTH_DEG_CUT))
-    u.coeffs *= _GROWTH_HS_NORM / sobolev_norm(u, s)
-    return u
-
-
-def _run_norm_growth(resolved: dict, threads: int) -> DriverResult:
+def _run_norm_growth(resolved: dict, threads: int, record_every: int, datum: dict) -> DriverResult:
     d, K, s, seed = resolved["d"], resolved["K"], resolved["s"], resolved["seed"]
-    dt, T = resolved["dt"], resolved["T"]
     basis = HermiteBasis(d, K)
-    u0 = _growth_datum(basis, seed, s)
-    cfg = SolverConfig(dt=dt, T=T, record_every=_GROWTH_RECORD_EVERY)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 202)))
+    u0 = SpectralField(basis, _decaying_body(basis, rng, datum["body_decay"], datum["degree_cut"]))
+    u0.coeffs *= datum["hs_norm"] / sobolev_norm(u0, s)
+    cfg = SolverConfig(dt=resolved["dt"], T=resolved["T"], record_every=record_every)
     res = norm_growth_experiment(u0, s, cfg)
     branches = ("nonlinear", "linear")
     table = {"branch": np.repeat(branches, [res[b]["times"].size for b in branches])}
@@ -603,27 +607,20 @@ def _run_norm_growth(resolved: dict, threads: int) -> DriverResult:
     taints = [f"solver_spillage_{b}" for b in ("nonlinear", "linear")
               if res[b]["diagnostics"]["tainted"]]
     derived = {
-        "record_every": _GROWTH_RECORD_EVERY,
-        "datum": {"body_decay": _GROWTH_BODY_DECAY, "degree_cut": _GROWTH_DEG_CUT,
-                  "hs_norm": _GROWTH_HS_NORM},
+        "record_every": record_every,
+        "datum": dict(datum),
         "Q": 2 * K + 2,
     }
     return DriverResult(table, summary, derived, taints)
 
 
-def _conservation_datum(basis: HermiteBasis, seed: int) -> SpectralField:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 303)))
-    coeffs = _decaying_body(basis, rng, _CONS_BODY_DECAY, _CONS_DEG_CUT)
-    coeffs *= math.sqrt(_CONS_MASS) / np.linalg.norm(coeffs)
-    return SpectralField(basis, coeffs)
-
-
-def _run_conservation(resolved: dict, threads: int) -> DriverResult:
+def _run_conservation(resolved: dict, threads: int, record_every: int, datum: dict) -> DriverResult:
     d, K, s, seed = resolved["d"], resolved["K"], resolved["s"], resolved["seed"]
-    dt, T = resolved["dt"], resolved["T"]
     basis = HermiteBasis(d, K)
-    u0 = _conservation_datum(basis, seed)
-    cfg = SolverConfig(dt=dt, T=T, record_every=_CONS_RECORD_EVERY)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 303)))
+    u0 = SpectralField(basis, _decaying_body(basis, rng, datum["body_decay"], datum["degree_cut"]))
+    u0.coeffs *= math.sqrt(datum["mass"]) / np.linalg.norm(u0.coeffs)
+    cfg = SolverConfig(dt=resolved["dt"], T=resolved["T"], record_every=record_every)
     times, masses, energies, hs_norms = [], [], [], []
 
     def on_record(t, u_t):
@@ -642,41 +639,59 @@ def _run_conservation(resolved: dict, threads: int) -> DriverResult:
         "n_records": len(times),
     }
     derived = {
-        "record_every": _CONS_RECORD_EVERY,
-        "datum": {"body_decay": _CONS_BODY_DECAY, "degree_cut": _CONS_DEG_CUT, "mass": _CONS_MASS},
+        "record_every": record_every,
+        "datum": dict(datum),
         "Q": 2 * K + 2,
     }
     taints = ["solver_spillage"] if diagnostics["tainted"] else []
     return DriverResult(table, summary, derived, taints)
 
 
-# the bilinear rows: name -> (the word on u, v's being the identity; description).  Their
-# windows fix every degree a cell needs, so they read no K.
-_BILINEAR_WORDS = {
-    "bilinear": (PWord.identity(),
-                 "bilinear space-time norms of wave-packet pairs across dyadic windows"),
-    "bilinear_derivative": (PWord.grad(axis=1),
-                            "bilinear norms with a gradient word on the high-frequency factor"),
-}
+@dataclass(frozen=True)
+class Experiment:
+    """driver(resolved, threads) runs it; preset holds the optional keys it reads, with their
+    defaults; limits(resolved) runs its own checks and returns (key, bytes, what, degree).
+    Both are cli functions: perfbench/layers.py traces lab calls by rebinding cli's names."""
+    driver: Callable
+    description: str
+    preset: dict
+    limits: Callable
 
-# name -> (driver, description, preset).  The preset holds exactly the optional keys the
-# experiment reads, with their defaults.
-EXPERIMENTS: dict[str, tuple] = {
-    "identity_k1": (_run_identity_k1, "quadrilinear identity residuals over eigenspace tuples",
-                    dict(d=1, K=16, trials=64)),
-    "orthogonality": (_run_orthogonality, "decay of the quadrilinear form in the separated eigenvalue",
-                      dict(d=1, K=64, trials=4)),
-    **{name: (partial(_run_bilinear, word_a=word), description,
-              dict(d=2, N_list=[4, 8, 16, 32, 64], M_list=[2], T=math.pi, trials=32))
-       for name, (word, description) in _BILINEAR_WORDS.items()},
-    "bernstein": (_run_bernstein, "ladder-word operator norms on dyadic windows vs N^order",
-                  dict(d=1, N_list=[4, 8, 16, 32, 64], trials=8)),
-    "energy_increment": (_run_energy_increment, "modified-energy increments across I-operator cutoffs",
-                         dict(d=2, K=64, s=1.5, N_list=[4, 8, 16, 32], dt=1e-5, T=0.4)),
-    "norm_growth": (_run_norm_growth, "long-time Sobolev growth with linear control run",
-                    dict(d=2, K=32, s=2.0, dt=0.01, T=200.0)),
-    "conservation": (_run_conservation, "mass/energy drift of the splitting scheme",
-                     dict(d=2, K=32, s=1.0, dt=0.005, T=10.0)),
+
+def _bilinear_row(word_a: PWord, description: str) -> Experiment:
+    """A bilinear row: the word on u, v's being the identity.  It reads no K."""
+    return Experiment(partial(_run_bilinear, word_a=word_a), description,
+                      dict(d=2, N_list=[4, 8, 16, 32, 64], M_list=[2], T=math.pi, trials=32),
+                      partial(_bilinear_limits, word_a=word_a))
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "identity_k1": Experiment(_run_identity_k1, "quadrilinear identity residuals over eigenspace tuples",
+                              dict(d=1, K=16, trials=64), partial(_identity_limits, exhaustive_K_cap=24)),
+    "orthogonality": Experiment(partial(_run_orthogonality, C0=2.0),
+                                "decay of the quadrilinear form in the separated eigenvalue",
+                                dict(d=1, K=64, trials=4), _grid_limits),
+    "bilinear": _bilinear_row(
+        PWord.identity(), "bilinear space-time norms of wave-packet pairs across dyadic windows"),
+    "bilinear_derivative": _bilinear_row(
+        PWord.grad(axis=1), "bilinear norms with a gradient word on the high-frequency factor"),
+    "bernstein": Experiment(_run_bernstein, "ladder-word operator norms on dyadic windows vs N^order",
+                            dict(d=1, N_list=[4, 8, 16, 32, 64], trials=8), _bernstein_limits),
+    "energy_increment": Experiment(
+        partial(_run_energy_increment, record_every=200,
+                datum=dict(body_decay=6.0, body_degree_cut=40, ring_amplitude=0.15)),
+        "modified-energy increments across I-operator cutoffs",
+        dict(d=2, K=64, s=1.5, N_list=[4, 8, 16, 32], dt=1e-5, T=0.4), _increment_limits),
+    "norm_growth": Experiment(
+        partial(_run_norm_growth, record_every=20,
+                datum=dict(body_decay=4.0, degree_cut=20, hs_norm=3.0)),
+        "long-time Sobolev growth with linear control run",
+        dict(d=2, K=32, s=2.0, dt=0.01, T=200.0), _grid_limits),
+    "conservation": Experiment(
+        partial(_run_conservation, record_every=10,
+                datum=dict(body_decay=2.0, degree_cut=9, mass=0.25)),
+        "mass/energy drift of the splitting scheme",
+        dict(d=2, K=32, s=1.0, dt=0.005, T=10.0), _grid_limits),
 }
 
 
@@ -688,11 +703,11 @@ def run(cfg: ExperimentConfig, output_dir: str | None = None,
         threads: int = 1, seed_override: bool = False) -> int:
     """Execute one experiment; write results.csv + manifest.json; return exit code."""
     t_start = time.perf_counter()
-    resolved, defaults_applied = _resolve(cfg)
+    resolved, defaults_applied, _ = _resolve(cfg)
     if output_dir is not None:
         resolved["output_dir"] = output_dir
         defaults_applied.pop("output_dir", None)
-    result = EXPERIMENTS[cfg.experiment][0](resolved, threads)
+    result = EXPERIMENTS[cfg.experiment].driver(resolved, threads)
     out_dir = resolved["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     # both files go to temporaries first, so a failed write leaves the previous pair
@@ -760,8 +775,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-experiments":
-        for name, (_, description, _) in EXPERIMENTS.items():
-            print(f"{name}: {description}")
+        for name, row in EXPERIMENTS.items():
+            print(f"{name}: {row.description}")
         return 0
 
     try:
@@ -773,9 +788,9 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text)
         if args.command == "validate":
-            resolved, defaults_applied = _resolve(cfg)
-            print(json.dumps({"resolved_config": resolved, "defaults_applied": defaults_applied},
-                             sort_keys=True, indent=2, default=_json_default))
+            resolved, defaults_applied, price = _resolve(cfg)
+            print(json.dumps({"resolved_config": resolved, "defaults_applied": defaults_applied,
+                              "price": price}, sort_keys=True, indent=2, default=_json_default))
             return 0
     except ConfigError as exc:
         print(f"config error [{exc.key}]: {exc}", file=sys.stderr)

@@ -48,6 +48,7 @@ __all__ = [
     "apply_I",
     "apply_I_inverse",
     "window_degree",
+    "window_size",
     "bernstein_draws",
     "bernstein_ratio",
     "bernstein_ratios",
@@ -289,6 +290,14 @@ def apply_I_inverse(u: SpectralField, spec: IOperatorSpec) -> SpectralField:
 def window_degree(N: int, d: int) -> int:
     """The largest m_j in the Delta_N window (2|m| + d < 2 N^2); negative when it is empty."""
     return (2 * N * N - d - 1) // 2
+
+
+def window_size(N: int, d: int) -> int:
+    """The number of modes in the Delta_N window: those of total degree up to
+    window_degree(N, d), less those with 2|m| + d <= N^2 / 4."""
+    def up_to(n):  # the modes of total degree <= n
+        return math.comb(n + d, d) if n >= 0 else 0
+    return up_to(window_degree(N, d)) - up_to((N * N - 4 * d) // 8)
 
 
 def bernstein_draws(basis: HermiteBasis, N: int, trials: int, seed: int):

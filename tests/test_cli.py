@@ -210,8 +210,8 @@ def _refuse_to_drive(monkeypatch):
     def never(resolved, threads):
         raise AssertionError("the config was run")
 
-    for name, (_, description, preset) in list(EXPERIMENTS.items()):
-        monkeypatch.setitem(EXPERIMENTS, name, (never, description, preset))
+    for name, row in list(EXPERIMENTS.items()):
+        monkeypatch.setitem(EXPERIMENTS, name, replace(row, driver=never))
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -241,6 +241,13 @@ def _refuse_to_drive(monkeypatch):
     ("experiment = bilinear\nK = 2000\n", "K"),  # the bilinear rows read no K
     ("experiment = bilinear_derivative\nK = 2000\n", "K"),
     ("experiment = bilinear\nN_list = [128]\n", "N_list"),  # draws of degree 7385
+    # 10^6 draws of the 3,584 modes of Delta_64, 53 GiB
+    ("experiment = bernstein\nN_list = [64]\ntrials = 1000000\n", "trials"),
+    # a (10^9, 4, 3) int64 array of sampled tuples, 96 GB
+    ("experiment = identity_k1\nd = 3\nK = 400\ntrials = 1000000000\n", "trials"),
+    # two faults: the first check named wins
+    ("experiment = energy_increment\nN_list = [3]\ns = 1000\n", "N_list"),
+    ("experiment = conservation\ns = 1000\ndt = 1e-300\n", "s"),
 ])
 def test_run_time_failures_refused_up_front(tmp_path, capsys, monkeypatch, command, text, key):
     _refuse_to_drive(monkeypatch)
@@ -282,6 +289,7 @@ def test_the_largest_s_accepted_runs_to_finite_output(tmp_path, capsys, text):
     "experiment = conservation\nd = 3\nK = 250\n",  # 502^3 * 16 B, just below 2 GiB
     "experiment = identity_k1\nd = 3\nK = 400\n",  # 1-D tables: no 802^3 grid is built
     "experiment = identity_k1\nd = 3\nK = 4392\n",  # the largest basis degree
+    "experiment = identity_k1\ntrials = 1000000000\n",  # the d = 1 scan reads no trials
     "experiment = bilinear\nT = 200\n",  # the time rule does not grow with T:
     "experiment = bilinear\nT = 400\n",  # B + 1 nodes at a multiple of pi, 2B + 1 else
     "experiment = bilinear\nT = 1e6\n",
@@ -301,6 +309,12 @@ def test_validate_accepts_the_edges_of_the_up_front_checks(tmp_path, capsys, mon
     ("experiment = bernstein\nN_list = [2, 4]\ntrials = 1\n", window_degree(4, 1)),
     ("experiment = bernstein\nd = 2\nN_list = [2, 4]\ntrials = 1\n", window_degree(4, 2)),
     ("experiment = bernstein\nN_list = [1]\ntrials = 1\n", 0),  # one mode at d = 1, m = 0
+    # the rows that read K build at it
+    ("experiment = identity_k1\nK = 5\n", 5),
+    ("experiment = orthogonality\nK = 8\ntrials = 1\n", 8),
+    ("experiment = energy_increment\nd = 1\nK = 16\nN_list = [2, 4]\ndt = 0.001\nT = 0.002\n", 16),
+    ("experiment = norm_growth\nK = 4\nT = 0.1\n", 4),
+    ("experiment = conservation\nK = 4\nT = 0.05\n", 4),
 ])
 def test_validate_resolves_the_K_that_run_uses(tmp_path, capsys, text, draw_K):
     path = _write(tmp_path, text + "seed = 1\n")
@@ -311,10 +325,14 @@ def test_validate_resolves_the_K_that_run_uses(tmp_path, capsys, text, draw_K):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["resolved_config"]["K"] == validated["resolved_config"]["K"]
     assert manifest["defaults_applied"].get("K") == validated["defaults_applied"].get("K")
-    # these rows read no K: their windows fix the basis degree
-    assert validated["resolved_config"]["K"] is None
-    assert "K" not in manifest["defaults_applied"]
-    assert manifest["derived"]["K"] == draw_K and "K_needed" not in manifest["derived"]
+    # the degree validate prints is the one the run builds its basis at
+    if "K" in EXPERIMENTS[manifest["experiment"]].preset:
+        assert validated["price"]["degree"] == validated["resolved_config"]["K"] == draw_K
+    else:  # these rows read no K: their windows fix the basis degree
+        assert validated["price"]["degree"] == manifest["derived"]["K"]
+        assert validated["resolved_config"]["K"] is None
+        assert "K" not in manifest["defaults_applied"]
+        assert manifest["derived"]["K"] == draw_K and "K_needed" not in manifest["derived"]
     if "bilinear" in text:  # one Gauss rule per cell
         Q_by_cell = manifest["derived"]["Q_by_cell"]
         assert Q_by_cell.keys() == manifest["derived"]["normalization_by_cell"].keys()
@@ -372,7 +390,8 @@ def test_energy_increment_manifest_records_the_band_degree(tmp_path, d, K):
     ring_degree = json.loads((out / "manifest.json").read_text())["derived"]["datum"]["ring_degree"]
     basis = HermiteBasis(d, K)
     degrees = (basis.lambda_sq - d) // 2
-    assert ring_degree == d * K == degrees[cli._increment_datum(basis, 3).coeffs != 0].max()
+    datum = EXPERIMENTS["energy_increment"].driver.keywords["datum"]
+    assert ring_degree == d * K == degrees[cli._increment_datum(basis, 3, datum).coeffs != 0].max()
 
 
 # valid values for every optional key: every combination of them passes the up-front checks
@@ -393,7 +412,7 @@ _COMMON = ("experiment", "seed", "output_dir")
 @st.composite
 def _row_config(draw):
     name = draw(st.sampled_from(list(EXPERIMENTS)))
-    keys = draw(st.sets(st.sampled_from(sorted(EXPERIMENTS[name][2]) + ["output_dir"])))
+    keys = draw(st.sets(st.sampled_from(sorted(EXPERIMENTS[name].preset) + ["output_dir"])))
     if name == "bernstein" and "d" in keys:  # the preset N_list at d = 3 gives 4097^3 boxes
         keys.add("N_list")
     config = {"experiment": name, "seed": draw(st.integers(0, 2**32)),
@@ -402,8 +421,8 @@ def _row_config(draw):
         config["N_list"] = list(dict.fromkeys(config["N_list"]))
     if name == "bernstein" and config.get("d", 1) > 1:  # Delta_1 holds no mode at d >= 2
         config["N_list"] = [N for N in config["N_list"] if N > 1] or [2]
-    if "M_list" in EXPERIMENTS[name][2]:  # every bilinear cell has N >= M
-        lists = {**EXPERIMENTS[name][2], **config}
+    if "M_list" in EXPERIMENTS[name].preset:  # every bilinear cell has N >= M
+        lists = {**EXPERIMENTS[name].preset, **config}
         assume(min(lists["N_list"]) >= max(lists["M_list"]))
     return config
 
@@ -424,7 +443,7 @@ def test_row_configs_parse_alike_and_resolve_every_row_key(monkeypatch, data):
         with contextlib.redirect_stdout(out):
             assert main(["validate", path]) == 0
     resolved = json.loads(out.getvalue())["resolved_config"]
-    preset = EXPERIMENTS[data["experiment"]][2]
+    preset = EXPERIMENTS[data["experiment"]].preset
     for key in (*preset, *_COMMON):
         assert resolved[key] is not None
         assert resolved[key] == data.get(key, resolved[key])
@@ -438,7 +457,7 @@ def test_row_configs_parse_alike_and_resolve_every_row_key(monkeypatch, data):
        key=st.one_of(st.sampled_from(sorted(_VALID)), st.from_regex(r"[A-Za-z_]\w{0,10}", fullmatch=True)),
        value=st.integers(1, 4))
 def test_a_key_outside_the_row_is_refused_by_name(name, key, value):
-    assume(key not in (*EXPERIMENTS[name][2], *_COMMON))
+    assume(key not in (*EXPERIMENTS[name].preset, *_COMMON))
     text = f"experiment = {name}\nseed = 1\n{key} = {value}\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
@@ -468,7 +487,7 @@ def test_readme_key_table_is_the_registry():
     table = _readme_key_table()
     assert list(table) == list(EXPERIMENTS)
     for name, cells in table.items():
-        preset = EXPERIMENTS[name][2]
+        preset = EXPERIMENTS[name].preset
         assert {key for key, cell in cells.items() if cell != "—"} == set(preset), name
         for key, value in preset.items():
             assert json.loads(cells[key].replace("π", repr(math.pi))) == value, (name, key)

@@ -33,7 +33,7 @@ from oscillab import (
     sobolev_norm,
 )
 from oscillab.hermite import eigenvalue_box
-from oscillab.operators import _apply_word, bernstein_draws, window_degree
+from oscillab.operators import _apply_word, bernstein_draws, window_degree, window_size
 
 
 def _random_field(basis, seed, top_margin=0):
@@ -266,6 +266,14 @@ def test_window_degree_is_the_largest_degree_in_the_window(d, N):
         assert window_degree(N, d) == degrees.max()
     else:  # only Delta_1 at d >= 2 holds no mode
         assert (N, d > 1) == (1, True) and window_degree(N, d) < 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 4, 8])
+def test_window_size_counts_the_window_modes(d, N):
+    # the modes a bernstein draw holds, counted on the box that holds the window
+    lsq = eigenvalue_box(d, max(window_degree(N, d) + 1, 0))
+    assert window_size(N, d) == np.count_nonzero((4 * lsq > N * N) & (lsq < 2 * N * N))
 
 
 def test_bernstein_rejects_empty_window():
